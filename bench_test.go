@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one benchmark
-// per table/figure, plus the ablations DESIGN.md calls out). Run with:
+// per table/figure, plus the ablations README's "Benchmarks" section
+// lists). Run with:
 //
 //	go test -bench=. -benchmem
 //

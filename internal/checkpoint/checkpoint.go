@@ -102,8 +102,9 @@ type Stats struct {
 	ObjectsCopied int  // shadow captures (re-captures included)
 	BytesCopied   uint64
 	PerEpoch      []EpochStats
-	// The handoff epoch the pipelined engine runs after quiescence,
-	// concurrently with the new version's RESTART phase. Accounted apart
+	// The handoff epoch every update runs after quiescence (concurrently
+	// with the new version's RESTART on the pipelined schedule, after it
+	// on the sequential one). Accounted apart
 	// from the pre-quiesce loop so the Epochs bound and its per-epoch
 	// history keep their meaning.
 	FinalRan     bool
@@ -184,8 +185,8 @@ func (s *Snapshotter) Epoch() EpochStats {
 // FinalEpoch runs the handoff epoch over the quiesced instance: with no
 // thread left running, everything still dirty is consumed and shadowed in
 // one pass, after which the entire downtime copy can be served from
-// shadows. The pipelined engine runs it concurrently with the new
-// version's RESTART phase — the residual live copy shrinks while v2
+// shadows. The pipelined update schedule runs it concurrently with the
+// new version's RESTART phase — the residual live copy shrinks while v2
 // boots. Recorded in the Final* stats, not the epoch-loop history.
 func (s *Snapshotter) FinalEpoch() EpochStats {
 	sp := s.opts.Recorder.Span(obs.TrackTransfer, obs.PhaseHandoff)

@@ -169,11 +169,11 @@ type Options struct {
 	// RegionInstrumented enables custom-allocator instrumentation
 	// (nginxreg).
 	RegionInstrumented bool
-	// Sequential disables the pipelined engine and runs every update
-	// phase strictly in order (pre-copy, quiesce, analysis, restart,
-	// transfer) — the downtime-ablation baseline. The default (pipelined)
-	// engine overlaps the independent phases and produces bit-identical
-	// results.
+	// Sequential selects the update driver's strictly-ordered schedule,
+	// the downtime-ablation baseline: the analysis runs wholesale
+	// in-window and the old-side pipeline (handoff epoch, discovery) runs
+	// after RESTART instead of beside it. The default pipelined schedule
+	// overlaps them; results are bit-identical.
 	Sequential bool
 	// BeforeQuiesce, when set, is invoked after the pre-copy epochs (if
 	// any) and immediately before quiescence begins — the last moment the
@@ -206,7 +206,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the recommended configuration: the pipelined
-// engine with the zero-copy page-adoption fast path armed and every
+// schedule with the zero-copy page-adoption fast path armed and every
 // subsystem at its built-in default.
 func DefaultOptions() Options {
 	return Options{Transfer: TransferOptions{Adopt: true}}
@@ -288,22 +288,22 @@ func (o *Options) fill() {
 
 // UpdateReport is the timing and outcome breakdown of one live update —
 // the three update-time components §8 evaluates, plus transfer statistics
-// and the pipelined engine's phase-overlap accounting.
+// and the phase-overlap accounting.
 type UpdateReport struct {
 	PrecopyTime          time.Duration // pre-copy epochs (old version still serving)
 	QuiesceTime          time.Duration // checkpoint: barrier convergence
-	AnalysisTime         time.Duration // in-window analysis (validation + re-analysis when pipelined)
+	AnalysisTime         time.Duration // in-window analysis (validation + re-analysis, or wholesale when sequential)
 	ControlMigrationTime time.Duration // restart: v2 startup under replay
-	DiscoveryTime        time.Duration // old-side discovery (+ handoff epoch when pipelined); overlapped with restart when pipelined, in-window when sequential
-	StateTransferTime    time.Duration // remap: pair + copy (both engines; discovery is split out above)
+	DiscoveryTime        time.Duration // old-side pipeline: handoff epoch + discovery; beside restart when pipelined, after it when sequential
+	StateTransferTime    time.Duration // remap: pair + copy (discovery is split out above)
 	// Downtime is the service-unavailable window: from the moment
 	// quiescence is initiated to the moment the new version resumes. The
-	// pipelined engine exists to shrink exactly this number.
+	// pipelined schedule exists to shrink exactly this number.
 	Downtime  time.Duration
 	TotalTime time.Duration
 
-	// Pipelined reports which engine ran; AnalysesReused / ProcsReanalyzed
-	// split the speculative-analysis validation outcome per process.
+	// Pipelined reports which schedule ran; AnalysesReused / ProcsReanalyzed
+	// split the analysis validation outcome per process.
 	Pipelined       bool
 	AnalysesReused  int
 	ProcsReanalyzed int
@@ -368,11 +368,9 @@ type UpdateReport struct {
 	CanaryOutcome string
 }
 
-// TransferWork returns the total mutable-tracing wall clock: discovery
-// plus pair/copy. Both engines split discovery into DiscoveryTime (the
-// pipelined engine overlaps it with RESTART; the sequential engine pays
-// it in-window) — paper-comparison columns ("state transfer time") must
-// use this sum to stay comparable across engines and PRs.
+// TransferWork returns the total mutable-tracing wall clock: the old-side
+// pipeline (DiscoveryTime) plus pair/copy. Paper-comparison columns
+// ("state transfer time") use this sum so both schedules compare alike.
 func (r *UpdateReport) TransferWork() time.Duration {
 	return r.DiscoveryTime + r.StateTransferTime
 }
@@ -663,15 +661,9 @@ func (e *Engine) WarmWait(timeout time.Duration) bool {
 // the old version is terminated and the new one is serving; on any
 // conflict or failure the new version is discarded and the old version
 // resumes from its checkpoint — clients never observe a failed attempt.
-//
-// By default the update runs on the pipelined engine, which overlaps the
-// independent phases so the downtime window (quiesce -> commit) does not
-// pay for work that can run while something else is in flight: the
-// conservative analysis runs speculatively during the pre-copy epochs and
-// is validated against the memory deltas at quiescence; the checkpoint's
-// handoff epoch and the old-side object discovery run concurrently with
-// the new version's RESTART; and REMAP begins pairing the moment startup
-// completes. Options.Sequential selects the strictly-ordered engine; both
+// One driver runs every update; Options.Sequential only selects its
+// schedule — pipelined (the default), which overlaps independent work to
+// shrink the quiesce->commit window, or strictly ordered. Both schedules
 // produce bit-identical results.
 func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.mu.Lock()
@@ -734,45 +726,18 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	// defer so no monitor goroutine outlives its update.
 	wd := newWatchdog(e.opts.Watchdog.PhaseDeadlines, e.opts.Faults, e.opts.Recorder)
 	defer wd.stop()
-	if e.opts.Sequential {
-		return e.updateSequential(old, v2, rep, warm, wd)
-	}
-	return e.updatePipelined(old, v2, rep, warm, wd)
-}
-
-// precopy arms and runs the incremental pre-copy checkpoint engine while
-// the old version is still serving: each epoch consumes the soft-dirty
-// bits and shadows the objects on the dirty pages, so the downtime copy
-// only reads the residual dirty working set from live memory. Epochs are
-// speculative; the caller defers Discard so the consumed bits are handed
-// back on any outcome (rollback needs them for the next attempt; after
-// commit the old instance is gone and re-marking is harmless).
-func (e *Engine) precopy(old *program.Instance, rep *UpdateReport) *checkpoint.Snapshotter {
-	if !e.opts.Precopy.Enabled {
-		return nil
-	}
-	pcStart := time.Now()
-	sp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhasePrecopy)
-	snap := checkpoint.New(old, checkpoint.Options{
-		MaxEpochs: e.opts.Precopy.Epochs,
-		Interval:  e.opts.Precopy.Interval,
-		Recorder:  e.opts.Recorder,
-		Faults:    e.opts.Faults,
-	})
-	rep.Precopy = snap.Run()
-	sp.EndArg("epochs", int64(rep.Precopy.Epochs))
-	rep.PrecopyTime = time.Since(pcStart)
-	return snap
+	return e.runUpdate(old, v2, rep, warm, wd)
 }
 
 // restart runs the RESTART phase: the new version starts from scratch
-// under mutable reinitialization, replaying the old version's startup log
-// for immutable operations. Shared by both engines; the returned instance
-// is non-nil exactly when every step succeeded.
+// under mutable reinitialization, inheriting the placement the analyses
+// pin and replaying the old version's startup log for immutable
+// operations. A non-nil instance is returned whenever one was created, so
+// rollback can terminate it.
 func (e *Engine) restart(old *program.Instance, v2 *program.Version,
-	mgr *reinit.Manager, plan map[mem.PlanKey]mem.Addr, reserve []*mem.Object,
-	pinnedStatics map[string]uint64, wd *watchdog) (*program.Instance, error) {
-	defer e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRestart).End()
+	analyses map[program.ProcKey]*trace.Analysis, rep *UpdateReport, wd *watchdog) (*program.Instance, error) {
+	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
+	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
 	// Injected hang: RESTART parks here until the watchdog's restart
 	// budget trips (closing wd.cancel and releasing plane stalls) — the
 	// acceptance case proving a wedged RESTART is recovered solely by the
@@ -850,6 +815,7 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 		return newInst, err
 	}
 	newInst.CompleteStartup()
+	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
 	return newInst, nil
 }
 
@@ -863,8 +829,6 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 // commit-time crash today) is returned before any side effect, the last
 // moment a pre-commit rollback is still possible.
 func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error {
-	sp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseCommit)
-	defer sp.End()
 	if err := e.opts.Faults.Check(faultinject.PointCommitCrash); err != nil {
 		return err
 	}
@@ -891,9 +855,9 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error
 	return nil
 }
 
-// transferOptions builds the trace options both engines share. cancel is
-// the update's watchdog-owned pipeline cancel, so a deadline trip drains
-// both engines' transfer work identically. rep carries the update's
+// transferOptions builds the update's trace options. cancel is the
+// update's watchdog-owned pipeline cancel, so a deadline trip drains the
+// transfer work on either schedule. rep carries the update's
 // adoption ledger (nil unless Transfer.Adopt), which records every donated
 // page frame so rollback and the canary window can make the old side whole.
 func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
@@ -928,7 +892,7 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 }
 
 // captureDigest records the old instance's quiesce-time state digest for
-// the rollback audit; both engines call it right after quiescence, while
+// the rollback audit; the driver calls it right after quiescence, while
 // nothing else is reading or writing the old side.
 func (e *Engine) captureDigest(old *program.Instance, rep *UpdateReport) {
 	if !e.opts.Watchdog.VerifyRollback {
@@ -939,221 +903,109 @@ func (e *Engine) captureDigest(old *program.Instance, rep *UpdateReport) {
 	}
 }
 
-// updateSequential is the strictly-ordered engine: every phase completes
-// before the next begins. It is the downtime-ablation baseline the
-// pipelined engine is measured against. With a warm handoff, the in-call
-// pre-copy is skipped (the daemon's shadows stand in) and the warm
-// analysis is validated per process instead of recomputed wholesale.
-func (e *Engine) updateSequential(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *warmHandoff, wd *watchdog) (*UpdateReport, error) {
-	// --- CHECKPOINT: pre-copy epochs, then quiesce ---------------------
+// runUpdate is the update driver. It runs the paper's three phases —
+// CHECKPOINT (pre-copy, quiesce), RESTART, REMAP — and the commit as one
+// sequence of steps; Options.Sequential picks the schedule:
+//
+//   - pipelined (the default) takes work off the quiesce->commit window.
+//     The conservative analysis is speculated while the old version still
+//     serves and validated per process against the memory deltas
+//     in-window; the old-side pipeline (the checkpoint's handoff epoch,
+//     then discovery) runs concurrently with RESTART — a quiesced instance
+//     cannot re-dirty what the handoff epoch shadows; and REMAP pairs the
+//     moment startup completes.
+//   - sequential runs the same steps strictly in order, the
+//     downtime-ablation baseline: the analysis is computed wholesale
+//     in-window and the old-side pipeline runs inline after RESTART.
+//
+// A warm handoff replaces the in-call pre-copy with the daemon's shadows
+// and, once populated, the analysis with the daemon's warm one, so the
+// request effectively starts at quiescence.
+func (e *Engine) runUpdate(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *warmHandoff, wd *watchdog) (*UpdateReport, error) {
+	seq := e.opts.Sequential
+	rep.Pipelined = !seq
+	var (
+		newInst  *program.Instance
+		pipeDone chan struct{} // closed when the concurrent old-side pipeline ends; nil if none runs
+	)
+	// fail cancels and joins a running old-side pipeline, then rolls back,
+	// so the old instance resumes with no reader racing it. The watchdog
+	// owns the cancel channel: an abort and a deadline trip drain the
+	// pipeline through the same close.
+	fail := func(err error) error {
+		wd.exit()
+		if pipeDone != nil {
+			wd.cancelPipeline()
+			<-pipeDone
+		}
+		return e.rollback(old, newInst, rep, wd.wrap(err))
+	}
+	// phase runs one step under its watchdog budget and engine-track span,
+	// stores its wall time in *took (when non-nil) and rolls back on error.
+	// fn returns the span's closing attribute ("" for none).
+	phase := func(budget, span string, took *time.Duration, fn func() (string, int64, error)) error {
+		t0 := time.Now()
+		wd.enter(budget)
+		sp := e.opts.Recorder.Span(obs.TrackEngine, span)
+		arg, n, err := fn()
+		sp.EndArg(arg, n)
+		wd.exit()
+		if took != nil {
+			*took = time.Since(t0)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		return nil
+	}
+
+	// --- CHECKPOINT: pre-copy epochs, speculation, then quiesce ---------
 	var snap *checkpoint.Snapshotter
 	if warm != nil {
 		snap = warm.snap
-		rep.Precopy = snap.Stats()
-	} else {
-		wd.enter(WDPrecopy)
-		snap = e.precopy(old, rep)
-		wd.exit()
+	} else if e.opts.Precopy.Enabled {
+		// The step itself cannot fail: a failed epoch poisons snap, checked
+		// below. The deferred Discard hands every consumed soft-dirty bit
+		// back on any outcome.
+		_ = phase(WDPrecopy, obs.PhasePrecopy, &rep.PrecopyTime, func() (string, int64, error) {
+			snap = checkpoint.New(old, checkpoint.Options{
+				MaxEpochs: e.opts.Precopy.Epochs,
+				Interval:  e.opts.Precopy.Interval,
+				Recorder:  e.opts.Recorder,
+				Faults:    e.opts.Faults,
+			})
+			rep.Precopy = snap.Run()
+			return "epochs", int64(rep.Precopy.Epochs), nil
+		})
 	}
 	if snap != nil {
 		defer snap.Discard()
-		// An adopted snapshotter that failed an epoch (or had a daemon
-		// pass shot out from under it) cannot vouch for its shadows.
-		if ferr := snap.Err(); ferr != nil {
-			return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("checkpoint: %w", ferr)))
+		// A snapshotter that failed an epoch (or had a daemon pass shot out
+		// from under it) cannot vouch for its shadows.
+		if err := snap.Err(); err != nil {
+			return rep, fail(fmt.Errorf("checkpoint: %w", err))
 		}
 	}
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, nil, rep, berr)
-	}
-	if h := e.opts.BeforeQuiesce; h != nil {
-		h(old)
-	}
-
-	dtStart := time.Now()
-	// A rollback pauses service too: every failure path below returns
-	// right after the old version resumed, so account the window then.
-	defer func() {
-		if rep.RolledBack && rep.Downtime == 0 {
-			rep.Downtime = time.Since(dtStart)
-		}
-	}()
-	qsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseQuiesce)
-	wd.enter(WDQuiesce)
-	qd, err := old.Quiesce(e.opts.QuiesceTimeout)
-	wd.exit()
-	qsp.End()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("quiescence: %w", err)))
-	}
-	rep.QuiesceTime = qd
-	e.captureDigest(old, rep)
-
-	// Update-time analysis of the old version: immutable-object marking
-	// for the startup logs, then the conservative tracing analysis —
-	// validated from the warm analysis when one was handed off, recomputed
-	// wholesale otherwise.
-	reinit.MarkLogs(old)
-	anStart := time.Now()
-	wd.enter(WDAnalysis)
-	var analyses map[program.ProcKey]*trace.Analysis
-	if warm != nil {
-		asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseValidate)
-		var reused int
-		analyses, reused, err = warm.an.Resolve(old)
-		if err == nil {
-			err = e.opts.Faults.Check(faultinject.PointSpeculation)
-		}
-		if err == nil {
-			rep.AnalysesReused = reused
-			rep.ProcsReanalyzed = len(analyses) - reused
-			rep.WarmReanalyses = warm.an.ReanalysisCounts()
-		}
-		asp.EndArg("reused", int64(reused))
-	} else {
-		asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseAnalyze)
-		analyses, err = trace.AnalyzeInstance(old, e.opts.Policy, e.opts.TransferLibs)
-		rep.ProcsReanalyzed = len(analyses)
-		asp.EndArg("procs", int64(len(analyses)))
-	}
-	if err == nil {
-		err = e.opts.Faults.Check(faultinject.PointAnalysis)
-	}
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("analysis: %w", err)))
-	}
-	rep.AnalysisTime = time.Since(anStart)
-	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
-
-	// --- RESTART: new version under mutable reinitialization -----------
-	cmStart := time.Now()
-	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
-	wd.enter(WDRestart)
-	newInst, err := e.restart(old, v2, mgr, plan, reserve, pinnedStatics, wd)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.ControlMigrationTime = time.Since(cmStart)
-	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
-
-	// --- REMAP: mutable tracing state transfer. Discovery and pair/copy
-	// are timed apart (both in-window here) so the downtime-ablation rows
-	// compare phase-for-phase with the pipelined engine, which overlaps
-	// discovery with RESTART. ----------------------------------------
-	wd.enter(WDTransfer)
-	dscStart := time.Now()
-	disc, err := trace.DiscoverInstance(old, e.transferOptions(snap, wd.cancel, rep))
-	if err != nil {
-		wd.exit()
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.DiscoveryTime = time.Since(dscStart)
-	stStart := time.Now()
-	rsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRemap)
-	stats, err := disc.Complete(newInst, analyses)
-	rep.Transfer = stats
-	rsp.EndArg("objects", int64(stats.ObjectsTransferred))
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.StateTransferTime = time.Since(stStart)
-
-	// --- COMMIT ---------------------------------------------------------
-	// A breach anywhere above that still let its phase return success
-	// fired the pipeline cancel; committing on top of it would trust
-	// half-drained state, so the breach wins over a clean-looking run.
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, newInst, rep, berr)
-	}
-	wd.enter(WDCommit)
-	err = e.commit(old, newInst, rep)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.Downtime = time.Since(dtStart)
-	return rep, nil
-}
-
-// updatePipelined is the phase-overlapping engine. Three overlaps take
-// work off the downtime-critical path, with results bit-identical to the
-// sequential engine:
-//
-//  1. The conservative analysis runs speculatively while the old version
-//     is still serving (concurrently with the pre-copy epochs) and is
-//     validated per process against the soft-dirty/allocation deltas at
-//     quiescence; only invalidated processes are re-analyzed in-window.
-//  2. The checkpoint's handoff epoch and the old-side object discovery
-//     run concurrently with the new version's RESTART phase: the residual
-//     live copy shrinks to nothing while v2 boots, because a quiesced
-//     instance cannot re-dirty what the handoff epoch shadows.
-//  3. REMAP begins pairing the moment startup completes — the discovery
-//     it needs already happened under RESTART.
-//
-// Any RESTART failure cancels the in-flight old-side work and joins it
-// before rolling back, so the old instance resumes with no reader racing
-// it and the deferred checkpoint Discard restores every consumed bit.
-//
-// With a warm handoff the in-call pre-quiesce phases disappear entirely:
-// the daemon already ran the pre-copy epochs and kept the analysis warm,
-// so the update initiates quiescence immediately — request-to-commit
-// latency collapses toward the quiesce-to-commit window.
-func (e *Engine) updatePipelined(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *warmHandoff, wd *watchdog) (*UpdateReport, error) {
-	rep.Pipelined = true
-	// --- CHECKPOINT: speculative analysis overlapped with the pre-copy
-	// epochs (skipped on the warm fast path), then quiesce -------------
-	//
-	// A warm handoff whose analysis is empty (the daemon was re-armed
-	// after the last update and detached before completing a pass) has
-	// nothing to validate: fall back to in-call speculation so the
-	// analysis still runs off-window — Resolve over an empty warm
-	// analysis would move every per-process analysis into the downtime
-	// window, regressing below the cold engine. The daemon's snapshotter
-	// is still adopted for shadow continuity either way.
-	var (
-		spec *trace.Speculation
-		snap *checkpoint.Snapshotter
-	)
+	// An empty warm analysis (the daemon was detached before its first
+	// pass) has nothing to validate; the pipelined schedule speculates
+	// instead, so the analysis still runs off-window.
 	warmAn := warm != nil && warm.an.Entries() > 0
-	if warm != nil {
-		snap = warm.snap
-	} else {
-		wd.enter(WDPrecopy)
-		snap = e.precopy(old, rep)
-		wd.exit()
-	}
-	if !warmAn {
+	var spec *trace.Speculation
+	if !seq && !warmAn {
 		spec = trace.Speculate(old, e.opts.Policy, e.opts.TransferLibs)
+		// Joined before quiescence, so the in-window Resolve never blocks.
+		// The join cannot fail: a speculate-deadline trip abandons a wedged
+		// analysis goroutine and the breach check below rolls back.
+		_ = phase(WDSpeculate, obs.PhaseSpeculate, nil, func() (string, int64, error) {
+			select {
+			case <-spec.Done():
+			case <-wd.cancel:
+			}
+			return "", 0, nil
+		})
 	}
-	if snap != nil {
-		defer snap.Discard()
-		// An adopted snapshotter that failed an epoch (or had a daemon
-		// pass shot out from under it) cannot vouch for its shadows.
-		if ferr := snap.Err(); ferr != nil {
-			return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("checkpoint: %w", ferr)))
-		}
-	}
-	if spec != nil {
-		// Join the speculation before initiating quiescence: the old
-		// version is still serving here, so the wait is off the downtime
-		// window by construction — Resolve below must never block
-		// in-window. (The warm path has nothing to join: the daemon was
-		// stopped before the timed window even opened.) The select lets a
-		// speculate-deadline trip abandon a wedged analysis goroutine.
-		ssp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseSpeculate)
-		wd.enter(WDSpeculate)
-		select {
-		case <-spec.Done():
-		case <-wd.cancel:
-		}
-		wd.exit()
-		ssp.End()
-	}
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, nil, rep, berr)
+	if err := wd.breachErr(); err != nil {
+		return rep, fail(err)
 	}
 	if h := e.opts.BeforeQuiesce; h != nil {
 		h(old)
@@ -1167,132 +1019,124 @@ func (e *Engine) updatePipelined(old *program.Instance, v2 *program.Version, rep
 			rep.Downtime = time.Since(dtStart)
 		}
 	}()
-	qsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseQuiesce)
-	wd.enter(WDQuiesce)
-	qd, err := old.Quiesce(e.opts.QuiesceTimeout)
-	wd.exit()
-	qsp.End()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("quiescence: %w", err)))
+	if err := phase(WDQuiesce, obs.PhaseQuiesce, &rep.QuiesceTime, func() (string, int64, error) {
+		if _, err := old.Quiesce(e.opts.QuiesceTimeout); err != nil {
+			return "", 0, fmt.Errorf("quiescence: %w", err)
+		}
+		return "", 0, nil
+	}); err != nil {
+		return rep, err
 	}
-	rep.QuiesceTime = qd
 	e.captureDigest(old, rep)
 
-	// --- old-side pipeline: handoff epoch, then discovery — overlapped
-	// with analysis resolution and RESTART below ----------------------
+	// --- old-side pipeline: the handoff epoch, then discovery ------------
 	topts := e.transferOptions(snap, wd.cancel, rep)
 	var (
-		disc     *trace.InstanceDiscovery
-		derr     error
-		discTook time.Duration
+		disc *trace.InstanceDiscovery
+		derr error
 	)
-	pipeDone := make(chan struct{})
-	go func() {
-		defer close(pipeDone)
+	oldSide := func() {
 		t0 := time.Now()
 		if snap != nil {
 			snap.FinalEpoch()
 		}
 		disc, derr = trace.DiscoverInstance(old, topts)
-		discTook = time.Since(t0)
-	}()
-	// abort cancels and joins the old-side pipeline, then rolls back. The
-	// watchdog owns the cancel channel, so an explicit abort and a
-	// deadline trip drain the pipeline through the same close.
-	abort := func(newInst *program.Instance, cause error) error {
-		wd.cancelPipeline()
-		<-pipeDone
-		return e.rollback(old, newInst, rep, wd.wrap(cause))
+		rep.DiscoveryTime = time.Since(t0)
+	}
+	if !seq {
+		pipeDone = make(chan struct{})
+		go func() {
+			defer close(pipeDone)
+			oldSide()
+		}()
 	}
 
-	// Update-time analysis: immutable-object marking for the startup
-	// logs, then validate the speculative (or warm) analysis against the
-	// deltas, re-analyzing only what they invalidated.
+	// --- analysis: immutable-object marking for the startup logs, then
+	// the conservative analysis, validated from the warm or speculated one
+	// (re-analyzing only what the deltas invalidated) or computed wholesale.
 	reinit.MarkLogs(old)
-	anStart := time.Now()
-	var (
-		analyses map[program.ProcKey]*trace.Analysis
-		reused   int
-	)
-	asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseValidate)
-	wd.enter(WDAnalysis)
-	if warmAn {
-		analyses, reused, err = warm.an.Resolve(old)
-	} else {
-		analyses, reused, err = spec.Resolve(old)
+	var analyses map[program.ProcKey]*trace.Analysis
+	span := obs.PhaseValidate
+	if seq && !warmAn {
+		span = obs.PhaseAnalyze
 	}
-	if err == nil {
+	if err := phase(WDAnalysis, span, &rep.AnalysisTime, func() (string, int64, error) {
+		var (
+			reused int
+			err    error
+		)
+		switch {
+		case warmAn:
+			analyses, reused, err = warm.an.Resolve(old)
+			rep.WarmReanalyses = warm.an.ReanalysisCounts()
+		case seq:
+			analyses, err = trace.AnalyzeInstance(old, e.opts.Policy, e.opts.TransferLibs)
+		default:
+			analyses, reused, err = spec.Resolve(old)
+		}
 		// Injected speculation invalidation / analysis failure, at the
-		// exact point the off-window analysis is resolved in-window.
-		err = e.opts.Faults.Check(faultinject.PointSpeculation)
+		// point the analysis is resolved in-window.
+		if err == nil {
+			err = e.opts.Faults.Check(faultinject.PointSpeculation)
+		}
+		if err == nil {
+			err = e.opts.Faults.Check(faultinject.PointAnalysis)
+		}
+		if err != nil {
+			return "", 0, fmt.Errorf("analysis: %w", err)
+		}
+		rep.AnalysesReused, rep.ProcsReanalyzed = reused, len(analyses)-reused
+		return "reused", int64(reused), nil
+	}); err != nil {
+		return rep, err
 	}
-	if err == nil {
-		err = e.opts.Faults.Check(faultinject.PointAnalysis)
-	}
-	wd.exit()
-	asp.EndArg("reused", int64(reused))
-	if err != nil {
-		return rep, abort(nil, fmt.Errorf("analysis: %w", err))
-	}
-	rep.AnalysesReused = reused
-	rep.ProcsReanalyzed = len(analyses) - reused
-	if warmAn {
-		rep.WarmReanalyses = warm.an.ReanalysisCounts()
-	}
-	rep.AnalysisTime = time.Since(anStart)
-	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
 
-	// --- RESTART: new version under mutable reinitialization, concurrent
-	// with the old-side pipeline --------------------------------------
-	cmStart := time.Now()
-	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
-	wd.enter(WDRestart)
-	newInst, err := e.restart(old, v2, mgr, plan, reserve, pinnedStatics, wd)
-	wd.exit()
-	if err != nil {
-		return rep, abort(newInst, err)
+	// --- RESTART: new version under mutable reinitialization -------------
+	if err := phase(WDRestart, obs.PhaseRestart, &rep.ControlMigrationTime, func() (string, int64, error) {
+		var err error
+		newInst, err = e.restart(old, v2, analyses, rep, wd)
+		return "", 0, err
+	}); err != nil {
+		return rep, err
 	}
-	rep.ControlMigrationTime = time.Since(cmStart)
-	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
 
-	// --- join the old-side pipeline; REMAP pairs immediately ----------
+	// --- REMAP: join (or run inline) the old-side pipeline, then pair and
+	// copy. One transfer budget covers both. ------------------------------
 	wd.enter(WDTransfer)
-	<-pipeDone
+	if seq {
+		oldSide()
+	} else {
+		<-pipeDone
+	}
 	if snap != nil {
 		rep.Precopy = snap.Stats() // now includes the handoff epoch
 		if derr == nil {
 			// A handoff epoch that failed poisons the snapshotter rather
-			// than erroring the discovery that ran beside it.
+			// than erroring the discovery that ran after it.
 			derr = snap.Err()
 		}
 	}
 	if derr != nil {
-		wd.exit()
-		return rep, e.rollback(old, newInst, rep, wd.wrap(derr))
+		return rep, fail(derr)
 	}
-	rep.DiscoveryTime = discTook
-	stStart := time.Now()
-	rsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRemap)
-	stats, err := disc.Complete(newInst, analyses)
-	rep.Transfer = stats
-	rsp.EndArg("objects", int64(stats.ObjectsTransferred))
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
+	if err := phase(WDTransfer, obs.PhaseRemap, &rep.StateTransferTime, func() (string, int64, error) {
+		stats, err := disc.Complete(newInst, analyses)
+		rep.Transfer = stats
+		return "objects", int64(stats.ObjectsTransferred), err
+	}); err != nil {
+		return rep, err
 	}
-	rep.StateTransferTime = time.Since(stStart)
 
-	// --- COMMIT ---------------------------------------------------------
+	// --- COMMIT ----------------------------------------------------------
 	// A breach that raced a phase's success still fired the pipeline
-	// cancel: the breach wins, the update rolls back.
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, newInst, rep, berr)
+	// cancel; committing would trust half-drained state, so it rolls back.
+	if err := wd.breachErr(); err != nil {
+		return rep, fail(err)
 	}
-	wd.enter(WDCommit)
-	err = e.commit(old, newInst, rep)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
+	if err := phase(WDCommit, obs.PhaseCommit, nil, func() (string, int64, error) {
+		return "", 0, e.commit(old, newInst, rep)
+	}); err != nil {
+		return rep, err
 	}
 	rep.Downtime = time.Since(dtStart)
 	return rep, nil

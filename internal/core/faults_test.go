@@ -21,10 +21,11 @@ func faultOpts(p *faultinject.Plane) Options {
 	}
 }
 
-// TestInjectedFaultsRollBackWithCause sweeps the loud injection points:
-// each must abort the update, report the classified "fault:<point>"
-// cause, resume the old version bit-identically, leak nothing, and leave
-// the engine able to run a clean follow-up update.
+// TestInjectedFaultsRollBackWithCause sweeps the loud injection points on
+// both update schedules: each must abort the update, report the
+// classified "fault:<point>" cause, resume the old version
+// bit-identically, leak nothing, and leave the engine able to run a clean
+// follow-up update.
 func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -77,83 +78,84 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 			opts:      func(o Options) Options { o.Precopy.Enabled = true; return o },
 			wantCause: "fault:epoch-fail",
 		},
-		{
-			name:      "epoch-fail-sequential",
-			point:     faultinject.PointEpochFail,
-			opts:      func(o Options) Options { o.Precopy.Enabled = true; o.Sequential = true; return o },
-			wantCause: "fault:epoch-fail",
-		},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plane := faultinject.New(1)
-			opts := faultOpts(plane)
-			if tc.opts != nil {
-				opts = tc.opts(opts)
+		for _, seq := range []bool{false, true} {
+			name := tc.name
+			if seq {
+				name += "-sequential"
 			}
-			e, k := launchEchod(t, opts)
-			defer e.Shutdown()
-			c1, err := k.Connect(7000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sendRecv(t, c1, "a")
-			old := e.Current()
-			d0 := mustDigest(t, old)
-			g0 := leakcheck.Goroutines()
-
-			plane.Arm(tc.point)
-			rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-			if !errors.Is(err, ErrUpdateFailed) {
-				t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
-			}
-			if !plane.Fired(tc.point) {
-				t.Fatalf("armed point %s never fired", tc.point)
-			}
-			if !rep.RolledBack || rep.RollbackCause != tc.wantCause {
-				t.Fatalf("RolledBack=%v RollbackCause=%q, want true/%q (reason %v)",
-					rep.RolledBack, rep.RollbackCause, tc.wantCause, rep.Reason)
-			}
-			var fe *faultinject.Error
-			if !errors.As(rep.Reason, &fe) || fe.Point != tc.point {
-				t.Fatalf("Reason chain %v does not carry the injected *faultinject.Error", rep.Reason)
-			}
-			if tc.postQuiesce {
-				if !rep.RollbackVerified || !rep.RollbackIdentical {
-					t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
+			t.Run(name, func(t *testing.T) {
+				plane := faultinject.New(1)
+				opts := faultOpts(plane)
+				opts.Sequential = seq
+				if tc.opts != nil {
+					opts = tc.opts(opts)
 				}
-			}
-			if e.Current() != old {
-				t.Fatal("rollback did not keep the old instance current")
-			}
-			if d1 := mustDigest(t, old); d1 != d0 {
-				t.Fatalf("old instance state drifted across the rollback: %#x -> %#x", d0, d1)
-			}
-			if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v1:after:") {
-				t.Fatalf("post-rollback reply = %q, want v1 banner", got)
-			}
-			if n := consumedPages(old); n != 0 {
-				t.Fatalf("%d consumed soft-dirty pages not restored", n)
-			}
-			if err := leakcheck.CheckGoroutines(g0, 2*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := leakcheck.CheckReservedPids(old); err != nil {
-				t.Fatal(err)
-			}
+				e, k := launchEchod(t, opts)
+				defer e.Shutdown()
+				c1, err := k.Connect(7000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sendRecv(t, c1, "a")
+				old := e.Current()
+				d0 := mustDigest(t, old)
+				g0 := leakcheck.Goroutines()
 
-			// Engine survives: a clean follow-up update commits.
-			rep2, err := e.Update(echodVersion("2.1", 1, "v2", true, 7000))
-			if err != nil {
-				t.Fatalf("follow-up update: %v", err)
-			}
-			if rep2.RolledBack {
-				t.Fatalf("follow-up rolled back: %v", rep2.Reason)
-			}
-			if got := sendRecv(t, c1, "final"); !strings.HasPrefix(got, "v2:final:") {
-				t.Fatalf("post-follow-up reply = %q", got)
-			}
-		})
+				plane.Arm(tc.point)
+				rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+				if !errors.Is(err, ErrUpdateFailed) {
+					t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
+				}
+				if !plane.Fired(tc.point) {
+					t.Fatalf("armed point %s never fired", tc.point)
+				}
+				if !rep.RolledBack || rep.RollbackCause != tc.wantCause {
+					t.Fatalf("RolledBack=%v RollbackCause=%q, want true/%q (reason %v)",
+						rep.RolledBack, rep.RollbackCause, tc.wantCause, rep.Reason)
+				}
+				var fe *faultinject.Error
+				if !errors.As(rep.Reason, &fe) || fe.Point != tc.point {
+					t.Fatalf("Reason chain %v does not carry the injected *faultinject.Error", rep.Reason)
+				}
+				if tc.postQuiesce {
+					if !rep.RollbackVerified || !rep.RollbackIdentical {
+						t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
+					}
+				}
+				if e.Current() != old {
+					t.Fatal("rollback did not keep the old instance current")
+				}
+				if d1 := mustDigest(t, old); d1 != d0 {
+					t.Fatalf("old instance state drifted across the rollback: %#x -> %#x", d0, d1)
+				}
+				if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v1:after:") {
+					t.Fatalf("post-rollback reply = %q, want v1 banner", got)
+				}
+				if n := consumedPages(old); n != 0 {
+					t.Fatalf("%d consumed soft-dirty pages not restored", n)
+				}
+				if err := leakcheck.CheckGoroutines(g0, 2*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if err := leakcheck.CheckReservedPids(old); err != nil {
+					t.Fatal(err)
+				}
+
+				// Engine survives: a clean follow-up update commits.
+				rep2, err := e.Update(echodVersion("2.1", 1, "v2", true, 7000))
+				if err != nil {
+					t.Fatalf("follow-up update: %v", err)
+				}
+				if rep2.RolledBack {
+					t.Fatalf("follow-up rolled back: %v", rep2.Reason)
+				}
+				if got := sendRecv(t, c1, "final"); !strings.HasPrefix(got, "v2:final:") {
+					t.Fatalf("post-follow-up reply = %q", got)
+				}
+			})
+		}
 	}
 }
 

@@ -132,6 +132,9 @@ func (w *watchdog) run() {
 	for {
 		select {
 		case ph := <-w.phaseC:
+			if ph != "" && ph == phase {
+				continue // re-entering the timed phase keeps its clock
+			}
 			disarm()
 			phase = ph
 			if d, ok := w.deadlines[ph]; ok && d > 0 {
@@ -149,7 +152,8 @@ func (w *watchdog) run() {
 	}
 }
 
-// enter starts phase ph's budget; exit stops the clock between phases.
+// enter starts phase ph's budget (re-entering the phase being timed keeps
+// its clock running); exit stops the clock between phases.
 func (w *watchdog) enter(ph string) { w.setPhase(ph) }
 func (w *watchdog) exit()           { w.setPhase("") }
 
@@ -183,7 +187,7 @@ func (w *watchdog) trip(phase string, budget time.Duration) {
 }
 
 // cancelPipeline closes the update's cancel channel; shared by the trip
-// path and the engines' explicit abort (close exactly once either way).
+// path and the driver's explicit abort (close exactly once either way).
 func (w *watchdog) cancelPipeline() {
 	w.cancelOnce.Do(func() { close(w.cancel) })
 }
@@ -211,7 +215,7 @@ func (w *watchdog) onTrip(fn func()) {
 
 // breachErr returns the trip as a *DeadlineError, or nil. Once tripped,
 // the pipeline cancel has fired and downstream state cannot be trusted,
-// so the engines check this between phases and roll back even when the
+// so the driver checks this between phases and rolls back even when the
 // interrupted phase itself managed to return success.
 func (w *watchdog) breachErr() error {
 	w.mu.Lock()
@@ -225,11 +229,12 @@ func (w *watchdog) breachErr() error {
 // wrap substitutes the deadline as the primary cause of err when the
 // watchdog tripped: the phase's own error (a canceled transfer, a
 // released stall, a failed startup) is the *mechanism* of the abort, the
-// breached budget is the *reason*, and RollbackCause reports reasons.
+// breached budget is the *reason*, and RollbackCause reports reasons. A
+// breach already reported as the error (breachErr) passes through as is.
 func (w *watchdog) wrap(err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.breached == "" {
+	if _, ok := err.(*DeadlineError); ok || w.breached == "" {
 		return err
 	}
 	return &DeadlineError{Phase: w.breached, Budget: w.budget, Cause: err}

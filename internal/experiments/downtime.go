@@ -485,7 +485,7 @@ func (r *DowntimeResult) Render() string {
 			row.StateTransfer.Round(10*time.Microsecond),
 			row.Downtime.Round(10*time.Microsecond),
 			row.AdoptionFraction*100,
-			row.AnalysesReused, row.ProcsReanalyzed)
+			row.AnalysesReused, row.AnalysesReused+row.ProcsReanalyzed)
 	}
 	fmt.Fprintf(&b, "downtime reduction: %.0f%% (target >= 25%%); transfer bit-identical across engines and adoption (sum %#x, fnv %#x)\n",
 		r.Reduction()*100, r.Row("sequential").StateSum, r.Row("sequential").Checksum)

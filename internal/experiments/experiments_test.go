@@ -284,7 +284,24 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 	if pipe.ShadowFraction != 1.0 {
 		t.Errorf("pipelined shadow fraction = %.2f, want 1.0", pipe.ShadowFraction)
 	}
-	_ = res.Render()
+	// The reused column reads reused/total, as mcr-ctl and
+	// BENCH_downtime.json print it: the pipelined row reused its one
+	// analysis, the sequential row analyzed its one process wholesale.
+	pinned := 0
+	for _, line := range strings.Split(res.Render(), "\n") {
+		for name, want := range map[string]string{"sequential": "0/1", "pipelined": "1/1"} {
+			if !strings.HasPrefix(line, fmt.Sprintf("%-17s ", name)) {
+				continue
+			}
+			pinned++
+			if f := strings.Fields(line); f[len(f)-1] != want {
+				t.Errorf("%s row reused column = %q, want %q (line %q)", name, f[len(f)-1], want, line)
+			}
+		}
+	}
+	if pinned != 2 {
+		t.Errorf("found %d of the sequential/pipelined rows in the rendered table, want 2", pinned)
+	}
 }
 
 func TestFigure3LiveTrafficPrecopy(t *testing.T) {

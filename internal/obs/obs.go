@@ -49,7 +49,7 @@ const (
 	PhasePrecopy   = "precopy"
 	PhaseSpeculate = "speculate"
 	PhaseQuiesce   = "quiesce"
-	PhaseAnalyze   = "analyze"  // cold wholesale analysis (sequential engine)
+	PhaseAnalyze   = "analyze"  // cold wholesale analysis (sequential schedule)
 	PhaseValidate  = "validate" // speculative/warm analysis validation
 	PhaseRestart   = "restart"
 	PhaseRemap     = "remap"

@@ -28,13 +28,14 @@
 // soft-dirty page tracking, a ptmalloc-style allocator with in-band type
 // tags, and an OS kernel with fd tables, pid namespaces and epoll),
 // because a native Go process cannot expose the raw memory and kernel
-// facilities the paper's C implementation manipulates. See DESIGN.md for
-// the substitution table.
+// facilities the paper's C implementation manipulates. README's
+// "Architecture map" section lists which package simulates what.
 //
 // # Quick start
 //
 //	k := mcr.NewKernel()
-//	engine := mcr.NewEngine(k, mcr.Options{})
+//	engine, err := mcr.NewEngine(k, mcr.DefaultOptions())
+//	if err != nil { ... }
 //	if _, err := engine.Launch(v1); err != nil { ... }
 //	// ... clients connect, state accumulates ...
 //	report, err := engine.Update(v2) // live update, state carried over
@@ -208,7 +209,8 @@ func NewKernel() *Kernel { return kernel.New() }
 func NewEngine(k *Kernel, opts Options) (*Engine, error) { return core.NewEngine(k, opts) }
 
 // DefaultOptions returns the recommended engine configuration: the
-// pipelined engine with the zero-copy page-adoption fast path armed.
+// pipelined update schedule with the zero-copy page-adoption fast path
+// armed.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // AuditOptions returns DefaultOptions with the transfer checksum and the
