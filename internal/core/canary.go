@@ -350,7 +350,7 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 		fsp := e.opts.Recorder.Span(obs.TrackCanary, obs.PhaseCanaryFinalize)
 		e.opts.Recorder.Metrics().Counter("canary.finalized").Add(1)
 		run.old.Terminate()
-		reinit.ReleaseIDs(run.new.Root())
+		reinit.ReleaseIDs(run.new)
 		fsp.End()
 		run.span.EndNote("finalized")
 		close(run.done)

@@ -847,7 +847,7 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error
 	// Finalization releases the pid side of global separability: the old
 	// id space no longer needs protecting once the old instance can never
 	// be re-adopted.
-	reinit.ReleaseIDs(newInst.Root())
+	reinit.ReleaseIDs(newInst)
 	newInst.Resume()
 	e.mu.Lock()
 	e.current = newInst

@@ -18,6 +18,27 @@ func (f *File) Path() string { return f.path }
 
 // WriteFile creates or replaces a file (host-side seeding of configs).
 func (k *Kernel) WriteFile(path string, data []byte) {
+	f := k.file(path)
+	f.mu.Lock()
+	f.data = make([]byte, len(data))
+	copy(f.data, data)
+	f.mu.Unlock()
+}
+
+// TruncateFile sets a file's length to size, creating it if needed: bytes
+// past the old end read as zeroes, like truncate(2). Host-side seeding of
+// large content, without building the zero bytes twice.
+func (k *Kernel) TruncateFile(path string, size int) {
+	f := k.file(path)
+	f.mu.Lock()
+	data := make([]byte, size)
+	copy(data, f.data)
+	f.data = data
+	f.mu.Unlock()
+}
+
+// file returns the file at path, creating an empty one if needed.
+func (k *Kernel) file(path string) *File {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	f := k.fs[path]
@@ -25,10 +46,7 @@ func (k *Kernel) WriteFile(path string, data []byte) {
 		f = &File{path: path}
 		k.fs[path] = f
 	}
-	f.mu.Lock()
-	f.data = make([]byte, len(data))
-	copy(f.data, data)
-	f.mu.Unlock()
+	return f
 }
 
 // ReadFileDirect returns a file's contents without going through an fd
@@ -63,14 +81,7 @@ func (p *Proc) Open(path string) (int, error) {
 
 // Create opens a file for writing, creating it if needed.
 func (p *Proc) Create(path string) (int, error) {
-	p.k.mu.Lock()
-	f := p.k.fs[path]
-	if f == nil {
-		f = &File{path: path}
-		p.k.fs[path] = f
-	}
-	p.k.mu.Unlock()
-	obj := &Object{kind: ObjFile, refs: 1, file: f, k: p.k}
+	obj := &Object{kind: ObjFile, refs: 1, file: p.k.file(path), k: p.k}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.installLocked(obj), nil

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -404,6 +405,24 @@ func TestFiles(t *testing.T) {
 	got, ok := k.ReadFileDirect("/var/log/server.log")
 	if !ok || string(got) != "started\n" {
 		t.Errorf("log = %q, %v", got, ok)
+	}
+}
+
+func TestTruncateFile(t *testing.T) {
+	k := New()
+	k.TruncateFile("/srv/big.dat", 4096)
+	got, ok := k.ReadFileDirect("/srv/big.dat")
+	if !ok || len(got) != 4096 || !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatalf("new truncated file = %d bytes, %v; want 4096 zero bytes", len(got), ok)
+	}
+	k.WriteFile("/srv/big.dat", []byte("head"))
+	k.TruncateFile("/srv/big.dat", 6)
+	if got, _ := k.ReadFileDirect("/srv/big.dat"); string(got) != "head\x00\x00" {
+		t.Errorf("extended file = %q, want the old bytes then zeroes", got)
+	}
+	k.TruncateFile("/srv/big.dat", 2)
+	if got, _ := k.ReadFileDirect("/srv/big.dat"); string(got) != "he" {
+		t.Errorf("shrunk file = %q", got)
 	}
 }
 

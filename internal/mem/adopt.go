@@ -5,9 +5,13 @@
 // move between two AddressSpaces: DonatePage detaches a frame from the old
 // space, AdoptPage installs it into the new one at the same virtual
 // address, and RestorePage puts a frame back with its original soft-dirty
-// bookkeeping when an update rolls back. An AdoptLedger records every move
-// so rollback (return the frames) and the canary window (copy contents
-// back while keeping the frames) are both exact.
+// bookkeeping when an update rolls back. Frames move by reference: a move
+// hands over the page itself, and neither side copies its 4 KiB. An
+// AdoptLedger records every move — where the frame came from and the
+// bookkeeping bits it carried, never its bytes — so rollback (return the
+// frames) and the canary window (copy contents back while keeping the
+// frames) are both exact. The canary copy-back is the one path that copies
+// page data: the old and new instances must then own separate bytes.
 
 package mem
 
@@ -16,13 +20,15 @@ import (
 	"sync"
 )
 
-// PageFrame is a detached page: its 4 KiB of data plus the soft-dirty
+// PageFrame is a detached page: the frame itself plus the soft-dirty
 // bookkeeping it carried when it was donated. Present is false when the
-// donated page had never been touched (demand-zero): the data is all
-// zeroes and restoring it re-establishes the page's absence rather than
-// materializing a zero frame.
+// donated page had never been touched (demand-zero): there is no frame,
+// and restoring it re-establishes the page's absence rather than
+// materializing a zero frame. A frame belongs to exactly one holder: after
+// AdoptPage or RestorePage installs it, the PageFrame value must not be
+// installed again.
 type PageFrame struct {
-	Data      [PageSize]byte
+	p         *page
 	SoftDirty bool
 	Consumed  bool
 	Present   bool
@@ -46,9 +52,19 @@ func (as *AddressSpace) DonatePage(pb Addr) (PageFrame, error) {
 	if p == nil {
 		return PageFrame{}, nil // demand-zero page: nothing resident to move
 	}
-	f := PageFrame{Data: p.data, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}
 	delete(as.pages, pb)
-	return f, nil
+	return PageFrame{p: p, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}, nil
+}
+
+// installLocked puts f's frame at pb with the given bits, allocating a zero
+// frame for a present frame that carries none. The caller holds as.mu.
+func (as *AddressSpace) installLocked(pb Addr, f PageFrame, softDirty, consumed bool) {
+	p := f.p
+	if p == nil {
+		p = &page{}
+	}
+	p.softDirty, p.consumed = softDirty, consumed
+	as.pages[pb] = p
 }
 
 // AdoptPage installs a donated frame at page base pb, replacing whatever
@@ -67,13 +83,13 @@ func (as *AddressSpace) AdoptPage(pb Addr, f PageFrame) error {
 		return fmt.Errorf("mem: AdoptPage: %w", err)
 	}
 	as.mutations++
-	as.pages[pb] = &page{data: f.Data, softDirty: true}
+	as.installLocked(pb, f, true, false)
 	return nil
 }
 
-// RestorePage reinstalls a frame with its original recorded bookkeeping
-// bits — the rollback inverse of DonatePage. A frame that was not present
-// at donation time restores the page's absence. Counts as a mutation.
+// RestorePage reinstalls a frame with its recorded bookkeeping bits — the
+// rollback inverse of DonatePage. A frame that was not present at donation
+// time restores the page's absence. Counts as a mutation.
 func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
 	if pb&Addr(pageMask) != 0 {
 		return fmt.Errorf("mem: RestorePage %#x: not page-aligned", pb)
@@ -88,13 +104,14 @@ func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
 		delete(as.pages, pb)
 		return nil
 	}
-	as.pages[pb] = &page{data: f.Data, softDirty: f.SoftDirty, consumed: f.Consumed}
+	as.installLocked(pb, f, f.SoftDirty, f.Consumed)
 	return nil
 }
 
-// ExportPage snapshots the current frame at pb without detaching it or
-// changing any bookkeeping (a read-only view used by the canary window's
-// copy-back).
+// ExportPage copies the current frame at pb without detaching it or
+// changing any bookkeeping: the returned frame owns a private copy of the
+// bytes (the canary window's copy-back, where the old and new instances
+// must end up with separate frames).
 func (as *AddressSpace) ExportPage(pb Addr) (PageFrame, error) {
 	if pb&Addr(pageMask) != 0 {
 		return PageFrame{}, fmt.Errorf("mem: ExportPage %#x: not page-aligned", pb)
@@ -108,15 +125,19 @@ func (as *AddressSpace) ExportPage(pb Addr) (PageFrame, error) {
 	if p == nil {
 		return PageFrame{}, nil
 	}
-	return PageFrame{Data: p.data, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}, nil
+	cp := *p
+	return PageFrame{p: &cp, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}, nil
 }
 
 // adoptRecord is one donated frame: where it came from, where it went, and
-// the bookkeeping bits it carried at donation time.
+// the bookkeeping bits it carried at donation time. It holds no page data:
+// the frame itself lives in the adopting space.
 type adoptRecord struct {
-	from, to *AddressSpace
-	pb       Addr
-	orig     PageFrame
+	from, to  *AddressSpace
+	pb        Addr
+	softDirty bool
+	consumed  bool
+	present   bool
 }
 
 // AdoptLedger records every page frame an update donated from the old
@@ -133,11 +154,12 @@ type AdoptLedger struct {
 }
 
 // Record notes one donated frame. orig must be the frame exactly as
-// DonatePage returned it.
+// DonatePage returned it; only its bookkeeping bits are kept.
 func (l *AdoptLedger) Record(from, to *AddressSpace, pb Addr, orig PageFrame) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recs = append(l.recs, adoptRecord{from: from, to: to, pb: pb, orig: orig})
+	l.recs = append(l.recs, adoptRecord{from: from, to: to, pb: pb,
+		softDirty: orig.SoftDirty, consumed: orig.Consumed, present: orig.Present})
 }
 
 // Count returns the number of donated frames still held by the ledger.
@@ -154,25 +176,7 @@ func (l *AdoptLedger) Count() int {
 // first error is returned but the sweep continues: rollback must return
 // as many frames as it can.
 func (l *AdoptLedger) ReturnAll() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var first error
-	for _, r := range l.recs {
-		f, err := r.to.DonatePage(r.pb)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		restored := r.orig
-		restored.Data = f.Data
-		if err := r.from.RestorePage(r.pb, restored); err != nil && first == nil {
-			first = err
-		}
-	}
-	l.recs = nil
-	return first
+	return l.drain((*AddressSpace).DonatePage)
 }
 
 // CopyBack copies every donated frame's current contents back into the
@@ -182,20 +186,23 @@ func (l *AdoptLedger) ReturnAll() error {
 // must hold a complete bit-identical image so a breach revert adopts it
 // back without any frame motion.
 func (l *AdoptLedger) CopyBack() error {
+	return l.drain((*AddressSpace).ExportPage)
+}
+
+// drain sends every recorded page back to its originating space, taking
+// the frame from the adopting space with take, and empties the ledger.
+// The first error is returned; the sweep continues past it.
+func (l *AdoptLedger) drain(take func(*AddressSpace, Addr) (PageFrame, error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
 	for _, r := range l.recs {
-		f, err := r.to.ExportPage(r.pb)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
+		f, err := take(r.to, r.pb)
+		if err == nil {
+			err = r.from.RestorePage(r.pb, PageFrame{p: f.p,
+				SoftDirty: r.softDirty, Consumed: r.consumed, Present: r.present})
 		}
-		restored := r.orig
-		restored.Data = f.Data
-		if err := r.from.RestorePage(r.pb, restored); err != nil && first == nil {
+		if err != nil && first == nil {
 			first = err
 		}
 	}

@@ -71,7 +71,8 @@ func (o *Object) String() string {
 // needs: exact lookup by start address (precise tracing) and
 // containing-object lookup for arbitrary interior addresses (conservative
 // likely-pointer validation). The page-bucket index keeps interior lookup
-// O(objects-on-page).
+// O(objects-on-page) while objects come and go; scans of a settled index
+// use its immutable Table instead, which answers without a lock.
 type ObjectIndex struct {
 	mu      sync.RWMutex
 	byStart map[Addr]*Object
@@ -80,6 +81,56 @@ type ObjectIndex struct {
 	// the speculative-analysis validation (AddressSpace.Mutations is the
 	// data half).
 	gen uint64
+	// table caches the sorted snapshot of generation gen; Insert and
+	// Remove drop it, and Table rebuilds it on demand.
+	table *ObjectTable
+}
+
+// ObjectTable is an immutable address-sorted snapshot of an index's live
+// objects at one generation. Its lookups take no lock, so any number of
+// scanners can share it; it never changes after it is built, and a later
+// Insert or Remove makes the index build a new one instead.
+type ObjectTable struct {
+	gen  uint64
+	objs []*Object
+	// hits are the non-empty objects and spans[i] is hits[i]'s
+	// [start, end), packed for the search. Empty objects contain no
+	// address, and Insert lets one sit inside a neighbour, so they are
+	// left out of the search.
+	hits  []*Object
+	spans []span
+	// lo and hi bound every object: a word outside [lo, hi) points at no
+	// object, which rejects most non-pointer words without a search.
+	lo, hi Addr
+}
+
+type span struct{ start, end Addr }
+
+// Objects returns the objects sorted by address. The slice is shared by
+// every holder of the table and must not be modified.
+func (t *ObjectTable) Objects() []*Object { return t.objs }
+
+// Containing returns the object whose range contains addr, accepting
+// interior pointers: the lock-free form of ObjectIndex.Containing.
+func (t *ObjectTable) Containing(addr Addr) (*Object, bool) {
+	if addr < t.lo || addr >= t.hi {
+		return nil, false
+	}
+	// Objects are disjoint, so only the last one starting at or below
+	// addr can contain it.
+	i, j := 0, len(t.spans)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if t.spans[h].start <= addr {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == 0 || addr >= t.spans[i-1].end {
+		return nil, false
+	}
+	return t.hits[i-1], true
 }
 
 // NewObjectIndex returns an empty index.
@@ -111,6 +162,7 @@ func (ix *ObjectIndex) Insert(o *Object) error {
 		ix.byPage[pb] = append(ix.byPage[pb], o)
 	}
 	ix.gen++
+	ix.table = nil
 	return nil
 }
 
@@ -136,6 +188,7 @@ func (ix *ObjectIndex) Remove(addr Addr) (*Object, bool) {
 		}
 	}
 	ix.gen++
+	ix.table = nil
 	return o, true
 }
 
@@ -190,16 +243,50 @@ func (ix *ObjectIndex) Len() int {
 	return len(ix.byStart)
 }
 
-// All returns all live objects sorted by address.
+// All returns all live objects sorted by address, as a slice the caller
+// owns (a copy of the cached Table's).
 func (ix *ObjectIndex) All() []*Object {
+	return append([]*Object(nil), ix.Table().objs...)
+}
+
+// Table returns the snapshot of the index's current generation, building
+// it under one lock the first time it is asked for after an Insert or
+// Remove. Scans of an index that does not change (a quiesced instance)
+// all share one table.
+func (ix *ObjectIndex) Table() *ObjectTable {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]*Object, 0, len(ix.byStart))
-	for _, o := range ix.byStart {
-		out = append(out, o)
+	t := ix.table
+	ix.mu.RUnlock()
+	if t != nil {
+		return t
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.table == nil {
+		ix.table = ix.buildTableLocked()
+	}
+	return ix.table
+}
+
+func (ix *ObjectIndex) buildTableLocked() *ObjectTable {
+	t := &ObjectTable{gen: ix.gen, objs: make([]*Object, 0, len(ix.byStart))}
+	for _, o := range ix.byStart {
+		t.objs = append(t.objs, o)
+	}
+	sort.Slice(t.objs, func(i, j int) bool { return t.objs[i].Addr < t.objs[j].Addr })
+	t.hits = make([]*Object, 0, len(t.objs))
+	t.spans = make([]span, 0, len(t.objs))
+	for _, o := range t.objs {
+		if o.Size == 0 {
+			continue
+		}
+		t.hits = append(t.hits, o)
+		t.spans = append(t.spans, span{o.Addr, o.End()})
+	}
+	if n := len(t.spans); n > 0 {
+		t.lo, t.hi = t.spans[0].start, t.spans[n-1].end
+	}
+	return t
 }
 
 // OnPages returns the distinct live objects overlapping any of the given

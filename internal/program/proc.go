@@ -61,7 +61,15 @@ type Proc struct {
 	// waiters wake immediately instead of sleeping out their slice.
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
+
+	userMu sync.Mutex // see UserMutex
 }
+
+// UserMutex returns the process's user-level mutex: the pthread mutex a
+// multi-threaded server model holds around its in-memory shared
+// structures. It is pure runtime state, never transferred: it lives and
+// dies with the Proc, and a forked child gets a fresh one.
+func (p *Proc) UserMutex() *sync.Mutex { return &p.userMu }
 
 // Notify wakes every CondQP waiter of this process (call after writing
 // work into shared simulated memory, e.g. enqueueing a connection).

@@ -85,7 +85,15 @@ func NewManager(old *program.Instance, strategy replaylog.Strategy) *Manager {
 // instance's OnProcCreated option.
 func (m *Manager) OnProcCreated(p *program.Proc) {
 	p.KProc().SetReserveMode(true)
-	oldProc, ok := m.old.ProcByKey(p.Key())
+	m.mu.Lock()
+	old := m.old
+	m.mu.Unlock()
+	if old == nil {
+		// Finalized (ReleaseIDs): the old instance has exited and holds
+		// no fds left to inherit.
+		return
+	}
+	oldProc, ok := old.ProcByKey(p.Key())
 	if !ok {
 		return
 	}
@@ -284,8 +292,20 @@ func ReserveIDs(old *program.Instance, newRoot *program.Proc) {
 // natural allocation reuse those pids. While a canary window is open the
 // engine deliberately does NOT call this: the old instance is still
 // adoptable, and a rollback must find its pids unclaimed.
-func ReleaseIDs(newRoot *program.Proc) int {
-	return newRoot.KProc().ReleaseReservedPids()
+//
+// Finalization also detaches the new instance's Manager from the old
+// instance. The Manager stays installed as the new instance's interceptor
+// and process hook for its whole life, so without the detach every
+// instance would keep its predecessor — and through it every earlier
+// release — reachable.
+func ReleaseIDs(newInst *program.Instance) int {
+	if m, ok := newInst.Options().Interceptor.(*Manager); ok {
+		m.mu.Lock()
+		m.old = nil
+		m.replayers = nil
+		m.mu.Unlock()
+	}
+	return newInst.Root().KProc().ReleaseReservedPids()
 }
 
 // InheritPlacement applies the memory side of global inheritance to the

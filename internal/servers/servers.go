@@ -74,12 +74,12 @@ func SpecByName(name string) (*Spec, error) {
 func SeedFiles(k *kernel.Kernel) {
 	k.WriteFile("/etc/httpd/httpd.conf", []byte("ServerName mcr-test\nWorkers 2\nThreadsPerWorker 50\n"))
 	k.WriteFile("/var/www/index.html", []byte("<html>hello from httpd</html>"))
-	k.WriteFile("/var/www/big.bin", make([]byte, 1<<16))
+	k.TruncateFile("/var/www/big.bin", 1<<16)
 	k.WriteFile("/etc/nginx/nginx.conf", []byte("worker_processes 1;\nkeepalive_timeout 65;\n"))
 	k.WriteFile("/usr/share/nginx/index.html", []byte("<html>hello from nginx</html>"))
 	k.WriteFile("/etc/vsftpd.conf", []byte("anonymous_enable=NO\nlocal_enable=YES\n"))
 	k.WriteFile("/srv/ftp/readme.txt", []byte("welcome to vsftpd"))
-	k.WriteFile("/srv/ftp/big.dat", make([]byte, 1<<20))
+	k.TruncateFile("/srv/ftp/big.dat", 1<<20)
 	k.WriteFile("/etc/ssh/sshd_config", []byte("Port 22\nPermitRootLogin no\n"))
 	k.WriteFile("/etc/ssh/host_key", []byte("---- host key material ----"))
 }

@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -94,11 +95,11 @@ func (a *Analysis) IsImmutable(addr mem.Addr) bool {
 // pointed offset must be plausibly aligned ("our pointer analysis uses the
 // data type tag associated to the pointed object to reject illegal
 // (unaligned) likely pointers").
-func likelyPointer(ix *mem.ObjectIndex, word uint64) (*mem.Object, bool) {
+func likelyPointer(tab *mem.ObjectTable, word uint64) (*mem.Object, bool) {
 	if word == 0 {
 		return nil, false
 	}
-	target, ok := ix.Containing(mem.Addr(word))
+	target, ok := tab.Containing(mem.Addr(word))
 	if !ok {
 		return nil, false
 	}
@@ -123,62 +124,94 @@ func opaqueRangesOf(o *mem.Object, pol types.Policy) ([]types.OpaqueRange, []typ
 	return l.Opaques, l.Ptrs
 }
 
+// scratchFor returns a size-byte view of the reused buffer, growing it
+// on demand.
+func scratchFor(scratch *[]byte, size uint64) []byte {
+	if uint64(cap(*scratch)) < size {
+		*scratch = make([]byte, size)
+	}
+	return (*scratch)[:size]
+}
+
+// scanWords is the one word-scan loop of mutable tracing, shared by the
+// conservative analysis and discovery. buf holds one object's bytes and
+// ptrs/opaques its layout (opaqueRangesOf). Every non-nil precise pointer
+// slot that points into a live object is passed to precise; then every
+// 8-aligned word of the opaque ranges that passes likelyPointer is passed
+// to likely. Lookups go through the frozen object table, so the loop
+// takes no lock.
+func scanWords(tab *mem.ObjectTable, buf []byte, opaques []types.OpaqueRange, ptrs []types.PtrSlot,
+	precise, likely func(target *mem.Object)) {
+	size := uint64(len(buf))
+	for _, slot := range ptrs {
+		if slot.Func || slot.Offset+8 > size {
+			continue
+		}
+		word := binary.LittleEndian.Uint64(buf[slot.Offset:])
+		if word == 0 {
+			continue
+		}
+		if target, ok := tab.Containing(mem.Addr(word)); ok {
+			precise(target)
+		}
+	}
+	for _, r := range opaques {
+		end := r.Offset + r.Size
+		if end > size {
+			end = size
+		}
+		for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
+			if target, ok := likelyPointer(tab, binary.LittleEndian.Uint64(buf[off:])); ok {
+				likely(target)
+			}
+		}
+	}
+}
+
 // AnalyzeProc runs the conservative analysis over every live object of the
 // process: precise pointer slots are censused and validated; opaque areas
 // are scanned for likely pointers; immutability and nonupdatability
 // invariants are derived. Library objects are scanned only if listed in
 // transferLibs (§6: "MCR does not conservatively analyze nor transfer
 // shared library state by default").
+//
+// Each object is read with one locked ReadAt into a reused buffer, so the
+// walk is race-free on a still-serving process, and its words are checked
+// against one object table taken at the start. Callers validating a
+// speculative result must capture the process's delta counters before
+// calling: a table or a read that raced an allocation or a store is then
+// detected by the counters, not by the walk.
 func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool) (*Analysis, error) {
 	an := &Analysis{
 		Immutable:    make(map[mem.Addr]*mem.Object),
 		Nonupdatable: make(map[mem.Addr]bool),
 	}
-	ix := p.Index()
+	tab := p.Index().Table()
 	as := p.Space()
-	for _, o := range ix.All() {
+	var cur *mem.Object
+	hasLikely := false
+	precise := func(target *mem.Object) { an.Stats.Precise.add(cur.Kind, target.Kind) }
+	likely := func(target *mem.Object) {
+		hasLikely = true
+		an.Stats.Likely.add(cur.Kind, target.Kind)
+		an.Immutable[target.Addr] = target
+		an.Nonupdatable[target.Addr] = true
+	}
+	var scratch []byte
+	for _, o := range tab.Objects() {
 		if o.Kind == mem.ObjLib && !transferLibs[o.Name] {
 			continue
 		}
 		opaques, ptrs := opaqueRangesOf(o, pol)
-		// Census precise pointers.
-		for _, slot := range ptrs {
-			if slot.Offset+8 > o.Size {
-				continue
-			}
-			word, err := as.ReadWord(o.Addr + mem.Addr(slot.Offset))
-			if err != nil {
-				return nil, fmt.Errorf("trace: read %s+%d: %w", o, slot.Offset, err)
-			}
-			if word == 0 || slot.Func {
-				continue
-			}
-			if target, ok := ix.Containing(mem.Addr(word)); ok {
-				an.Stats.Precise.add(o.Kind, target.Kind)
-			}
+		if len(opaques) == 0 && len(ptrs) == 0 {
+			continue
 		}
-		// Conservatively scan opaque ranges.
-		hasLikely := false
-		for _, r := range opaques {
-			end := r.Offset + r.Size
-			if end > o.Size {
-				end = o.Size
-			}
-			for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
-				word, err := as.ReadWord(o.Addr + mem.Addr(off))
-				if err != nil {
-					return nil, fmt.Errorf("trace: scan %s+%d: %w", o, off, err)
-				}
-				target, ok := likelyPointer(ix, word)
-				if !ok {
-					continue
-				}
-				hasLikely = true
-				an.Stats.Likely.add(o.Kind, target.Kind)
-				an.Immutable[target.Addr] = target
-				an.Nonupdatable[target.Addr] = true
-			}
+		buf := scratchFor(&scratch, o.Size)
+		if err := as.ReadAt(o.Addr, buf); err != nil {
+			return nil, fmt.Errorf("trace: read %s: %w", o, err)
 		}
+		cur, hasLikely = o, false
+		scanWords(tab, buf, opaques, ptrs, precise, likely)
 		if hasLikely {
 			an.Nonupdatable[o.Addr] = true
 		}

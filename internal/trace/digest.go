@@ -17,8 +17,9 @@ import (
 // reverted update must hand back exactly the state it checkpointed.
 func StateDigest(inst *program.Instance) (uint64, error) {
 	h := fnv.New64a()
+	var scratch []byte
 	for _, p := range inst.Procs() {
-		for _, o := range p.Index().All() {
+		for _, o := range p.Index().Table().Objects() {
 			if o.Scratch {
 				// Framework-owned overlay metadata is not program state:
 				// it is regenerated per version and never read back, and
@@ -26,7 +27,7 @@ func StateDigest(inst *program.Instance) (uint64, error) {
 				continue
 			}
 			fmt.Fprintf(h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)
-			buf := make([]byte, o.Size)
+			buf := scratchFor(&scratch, o.Size)
 			if err := p.Space().ReadAt(o.Addr, buf); err != nil {
 				return 0, fmt.Errorf("trace: digest %s at %#x: %w", p.Key(), o.Addr, err)
 			}

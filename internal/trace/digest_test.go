@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"repro/internal/program"
 )
 
 // TestStateDigest pins the digest's two contractual properties: it is
@@ -63,5 +65,33 @@ func TestStateDigest(t *testing.T) {
 	}
 	if d4 == d1 {
 		t.Fatal("one-byte mutation left the digest unchanged")
+	}
+}
+
+// TestStateDigestPinned pins the digest value itself on two deterministic
+// instances: StateDigest is the bit-identity witness of every rollback
+// audit and engine-agreement test, so how it walks or reads the heap must
+// never change what it returns.
+func TestStateDigestPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		start func(t *testing.T) *program.Instance
+		want  uint64
+	}{
+		{"figure2-3-events", func(t *testing.T) *program.Instance { return runV1(t, 3) }, 0xd81f1a402f2754d8},
+		{"synth-seed7-3-procs", func(t *testing.T) *program.Instance { return startSynthV1(t, randShape(7, 3)) }, 0x5fdc39fa1e6ad643},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inst := c.start(t)
+			defer inst.Terminate()
+			got, err := StateDigest(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("StateDigest = %#x, want the recorded %#x", got, c.want)
+			}
+		})
 	}
 }

@@ -280,9 +280,13 @@ func (pt *procTransfer) delta(oldT, newT *types.Type) *typeDelta {
 type procTransfer struct {
 	oldProc *program.Proc
 	newProc *program.Proc
-	an      *Analysis
-	opts    Options
-	ann     *program.Annotations
+	// oldTab is the quiesced old process's object table, taken once at
+	// discovery: every discovery lookup and pointer remap resolves
+	// through it without a lock.
+	oldTab *mem.ObjectTable
+	an     *Analysis
+	opts   Options
+	ann    *program.Annotations
 
 	pairs     map[mem.Addr]*pairEntry     // keyed by old object start address
 	dirty     map[mem.Addr]bool           // old objects overlapping soft-dirty pages
@@ -325,6 +329,7 @@ type ProcDiscovery struct {
 func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 	pt := &procTransfer{
 		oldProc:   oldProc,
+		oldTab:    oldProc.Index().Table(),
 		opts:      opts,
 		pairs:     make(map[mem.Addr]*pairEntry),
 		dirty:     make(map[mem.Addr]bool),
@@ -403,7 +408,7 @@ func TransferProc(oldProc, newProc *program.Proc, an *Analysis, opts Options) (S
 // addresses must not depend on Parallelism.
 func (pt *procTransfer) discover() ([]*mem.Object, error) {
 	var roots []*mem.Object
-	for _, o := range pt.oldProc.Index().All() {
+	for _, o := range pt.oldTab.Objects() {
 		switch o.Kind {
 		case mem.ObjStatic, mem.ObjStack:
 			roots = append(roots, o)
@@ -435,10 +440,11 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 // conservative scan of its opaque ranges) and calls visit for each live
 // target, filtering non-transferred library objects. The object is read
 // with one locked ReadAt into the caller's scratch buffer (reused across
-// objects, grown on demand) and scanned locally, so concurrent workers
-// contend on the address-space lock once per object, not once per word,
-// and discovery does not allocate per object. It is read-only on pt and
-// safe for concurrent use with a scratch buffer per worker.
+// objects, grown on demand) and scanned locally by scanWords, so
+// concurrent workers contend on the address-space lock once per object
+// and on nothing per word, and discovery does not allocate per object.
+// It is read-only on pt and safe for concurrent use with a scratch buffer
+// per worker.
 func (pt *procTransfer) scanObject(o *mem.Object, scratch *[]byte, visit func(*mem.Object)) error {
 	opaques, ptrs := opaqueRangesOf(o, pt.opts.Policy)
 	if len(opaques) == 0 && len(ptrs) == 0 {
@@ -446,45 +452,19 @@ func (pt *procTransfer) scanObject(o *mem.Object, scratch *[]byte, visit func(*m
 		// read entirely.
 		return nil
 	}
-	ix := pt.oldProc.Index()
-	if uint64(cap(*scratch)) < o.Size {
-		*scratch = make([]byte, o.Size)
-	}
-	buf := (*scratch)[:o.Size]
+	buf := scratchFor(scratch, o.Size)
 	if sb, ok := pt.shadowFor(o); ok {
 		// Current shadow: identical bytes without the locked live read.
 		copy(buf, sb[:o.Size])
 	} else if err := pt.oldProc.Space().ReadAt(o.Addr, buf); err != nil {
 		return err
 	}
-	for _, slot := range ptrs {
-		if slot.Func || slot.Offset+8 > o.Size {
-			continue
-		}
-		word := binary.LittleEndian.Uint64(buf[slot.Offset:])
-		if word == 0 {
-			continue
-		}
-		if target, ok := ix.Containing(mem.Addr(word)); ok {
-			if target.Kind != mem.ObjLib || pt.opts.TransferLibs[target.Name] {
-				visit(target)
-			}
+	traced := func(target *mem.Object) {
+		if target.Kind != mem.ObjLib || pt.opts.TransferLibs[target.Name] {
+			visit(target)
 		}
 	}
-	for _, r := range opaques {
-		end := r.Offset + r.Size
-		if end > o.Size {
-			end = o.Size
-		}
-		for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
-			word := binary.LittleEndian.Uint64(buf[off:])
-			if target, ok := likelyPointer(ix, word); ok {
-				if target.Kind != mem.ObjLib || pt.opts.TransferLibs[target.Name] {
-					visit(target)
-				}
-			}
-		}
-	}
+	scanWords(pt.oldTab, buf, opaques, ptrs, traced, traced)
 	return nil
 }
 
@@ -664,7 +644,7 @@ func (pt *procTransfer) findStackVar(name string) *mem.Object {
 
 // RemapPtr translates an old pointer value to the new version.
 func (pt *procTransfer) RemapPtr(old uint64) (uint64, bool) {
-	target, ok := pt.oldProc.Index().Containing(mem.Addr(old))
+	target, ok := pt.oldTab.Containing(mem.Addr(old))
 	if !ok {
 		return 0, false
 	}
@@ -806,10 +786,7 @@ func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats)
 		if n.Size < size {
 			size = n.Size
 		}
-		if uint64(cap(*scratch)) < size {
-			*scratch = make([]byte, size)
-		}
-		buf := (*scratch)[:size]
+		buf := scratchFor(scratch, size)
 		var shadowSrc []byte
 		if sb, ok := pt.shadowFor(o); ok {
 			// Injected silent corruption: one byte of the shadow itself
