@@ -561,10 +561,6 @@ func BenchmarkDowntime(b *testing.B) {
 			if row.Name == "pipelined" {
 				b.ReportMetric(res.Reduction()*100, "reduction-pct")
 			}
-			if row.Adopt {
-				b.ReportMetric(row.AdoptionFraction*100, "adopted-pct")
-				b.ReportMetric(float64(row.AdoptedPages), "adopted-pages")
-			}
 		})
 	}
 }

@@ -39,7 +39,6 @@ func main() {
 		sequential  = flag.Bool("sequential", false, "use the strictly-ordered update engine (pipelining ablation)")
 		livetraffic = flag.Bool("livetraffic", false, "drive concurrent client traffic through Figure 3 updates")
 		precopy     = flag.Bool("precopy", false, "arm the pre-copy checkpoint engine on every update")
-		adopt       = flag.Bool("adopt", false, "arm the zero-copy page-adoption fast path on every update (layout-identical pages move instead of copying)")
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		Sequential:  *sequential,
 		LiveTraffic: *livetraffic,
 		Precopy:     *precopy,
-		Adopt:       *adopt,
 	}
 	if err := run(cfg, os.Stdout); err != nil {
 		if errors.Is(err, errNothingSelected) {

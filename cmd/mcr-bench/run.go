@@ -34,7 +34,6 @@ type config struct {
 	Sequential  bool // strictly-ordered update engine (pipelining ablation)
 	LiveTraffic bool // drive concurrent traffic through Figure 3 updates
 	Precopy     bool // arm the pre-copy checkpoint engine on every update
-	Adopt       bool // arm the zero-copy page-adoption fast path on every update
 }
 
 // run executes every selected experiment, writing rendered results to out.
@@ -51,7 +50,6 @@ func run(cfg config, out io.Writer) error {
 		Sequential:  cfg.Sequential,
 		LiveTraffic: cfg.LiveTraffic,
 		Precopy:     cfg.Precopy,
-		Adopt:       cfg.Adopt,
 	}
 	if cfg.Full {
 		ecfg.Scale = experiments.Full

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	mcr-ctl -server nginx -updates 3 [-parallelism N] [-adopt] [-precopy [-epochs N]] [-sequential] [-warm] [-canary SLO] [-trace-out FILE]
+//	mcr-ctl -server nginx -updates 3 [-parallelism N] [-precopy [-epochs N]] [-sequential] [-warm] [-canary SLO] [-trace-out FILE]
 package main
 
 import (
@@ -25,7 +25,6 @@ func main() {
 		server      = flag.String("server", "nginx", "server to run (httpd, nginx, vsftpd, sshd)")
 		updates     = flag.Int("updates", 2, "number of staged updates to deploy")
 		parallelism = flag.Int("parallelism", 0, "state-transfer workers per process (0 = all CPUs, 1 = sequential)")
-		adopt       = flag.Bool("adopt", false, "arm the zero-copy page-adoption fast path (layout-identical pages move, not copy; shows the adopted-pages line)")
 		precopy     = flag.Bool("precopy", false, "arm the incremental pre-copy checkpoint engine")
 		epochs      = flag.Int("epochs", 0, "pre-copy epoch bound (0 = default; requires -precopy)")
 		sequential  = flag.Bool("sequential", false, "use the strictly-ordered update engine (pipelining off)")
@@ -46,7 +45,6 @@ func main() {
 	flag.Parse()
 
 	cfg := config{Server: *server, Updates: *updates, Parallelism: *parallelism,
-		Adopt:   *adopt,
 		Precopy: *precopy, Epochs: *epochs, Sequential: *sequential, Warm: *warm,
 		Canary: *canarySpec, TraceOut: *traceOut, Fault: *fault, Deadlines: *deadline,
 		Cluster: *clusterN, WaveSize: *waveSize, WaveBudget: *waveBudget,

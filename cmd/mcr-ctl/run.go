@@ -86,7 +86,6 @@ type config struct {
 	Server      string
 	Updates     int
 	Parallelism int    // state-transfer workers (0 = GOMAXPROCS, 1 = sequential)
-	Adopt       bool   // arm the zero-copy page-adoption fast path
 	Precopy     bool   // arm the incremental pre-copy checkpoint engine
 	Epochs      int    // pre-copy epoch bound (0 = checkpoint default)
 	Sequential  bool   // strictly-ordered update engine (pipelining off)
@@ -164,7 +163,7 @@ func run(cfg config, out io.Writer) error {
 	servers.SeedFiles(k)
 	plane.AttachRecorder(rec)
 	eopts := core.Options{
-		Transfer:   core.TransferOptions{Parallelism: cfg.Parallelism, Adopt: cfg.Adopt},
+		Transfer:   core.TransferOptions{Parallelism: cfg.Parallelism},
 		Sequential: cfg.Sequential,
 		Warm:       core.WarmOptions{Enabled: cfg.Warm},
 		Recorder:   rec,
@@ -300,11 +299,6 @@ func run(cfg config, out io.Writer) error {
 			fmt.Fprintf(out, "  downtime: %s (%s engine; %d/%d analyses reused)\n",
 				rep.Downtime.Round(10*time.Microsecond), engineName,
 				rep.AnalysesReused, rep.AnalysesReused+rep.ProcsReanalyzed)
-			if cfg.Adopt {
-				fmt.Fprintf(out, "  adopted pages: %d (%d B, %.0f%% of transferred bytes moved zero-copy)\n",
-					rep.Transfer.PagesAdopted, rep.Transfer.BytesAdopted,
-					rep.Transfer.AdoptionFraction()*100)
-			}
 			if rep.Canary {
 				line := "  canary: " + rep.CanaryOutcome
 				if rep.RollbackCause != "" {

@@ -48,35 +48,6 @@ func TestRunDeploysUpdateAndKeepsSession(t *testing.T) {
 	}
 }
 
-func TestRunAdoptReportsAdoptedPages(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Adopt: true}, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"adopted pages:",
-		"moved zero-copy",
-		"done: all updates deployed live",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunWithoutAdoptOmitsAdoptedPagesLine(t *testing.T) {
-	var out strings.Builder
-	// The ablation leg: same scenario, adoption off, and the report line
-	// must vanish rather than print a zero.
-	if err := run(config{Server: "nginx", Updates: 1}, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "adopted pages:") {
-		t.Errorf("adoption-off run printed the adopted-pages line:\n%s", out.String())
-	}
-}
-
 func TestRunClampsUpdatesToAvailableVersions(t *testing.T) {
 	var out strings.Builder
 	// Far more updates than staged versions exist: run must clamp, deploy

@@ -403,20 +403,6 @@ func (ps *ProcShadow) Shadow(o *mem.Object) ([]byte, bool) {
 	return buf, ok
 }
 
-// Invalidate drops any shadow captured for o. The transfer calls it when
-// o's page frames are adopted into the new address space: the shadow
-// described frames this space no longer owns, and must never be served
-// again (not even after a canary copy-back, whose bytes are re-captured by
-// the next checkpoint from scratch). Nil-receiver safe.
-func (ps *ProcShadow) Invalidate(o *mem.Object) {
-	if ps == nil {
-		return
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	delete(ps.shadows, o)
-}
-
 // ShadowObjects returns the number of live shadow captures.
 func (ps *ProcShadow) ShadowObjects() int {
 	ps.mu.RLock()

@@ -621,37 +621,3 @@ func TestFinalEpochShadowsResidual(t *testing.T) {
 	}
 	compareInstances(t, "final-epoch vs baseline", v2pre, v2base)
 }
-
-// TestProcShadowInvalidate pins the shadow-invalidation contract page
-// adoption relies on: a donated object's shadow must never be served
-// again, and the nil receiver (no checkpoint in flight) must be a no-op.
-func TestProcShadowInvalidate(t *testing.T) {
-	ps := &ProcShadow{shadows: make(map[*mem.Object][]byte)}
-	a := &mem.Object{Addr: 0x1000, Size: 64}
-	b := &mem.Object{Addr: 0x2000, Size: 64}
-	ps.put(a, []byte{1, 2, 3})
-	ps.put(b, []byte{4, 5, 6})
-	if n := ps.ShadowObjects(); n != 2 {
-		t.Fatalf("ShadowObjects = %d, want 2", n)
-	}
-
-	ps.Invalidate(a)
-	if _, ok := ps.Shadow(a); ok {
-		t.Error("invalidated shadow still served")
-	}
-	if buf, ok := ps.Shadow(b); !ok || len(buf) != 3 {
-		t.Error("Invalidate disturbed an unrelated shadow")
-	}
-	if n := ps.ShadowObjects(); n != 1 {
-		t.Errorf("ShadowObjects = %d after Invalidate, want 1", n)
-	}
-
-	// Idempotent, and safe for objects never captured.
-	ps.Invalidate(a)
-	ps.Invalidate(&mem.Object{Addr: 0x3000})
-
-	// Nil receiver: the transfer calls Invalidate unconditionally even
-	// when no checkpoint daemon captured shadows.
-	var none *ProcShadow
-	none.Invalidate(a)
-}

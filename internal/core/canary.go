@@ -228,18 +228,6 @@ func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) b
 	e.canaryLast = run
 	e.current = newInst
 	e.mu.Unlock()
-	// Make the parked old instance whole before the new version resumes:
-	// adopted page frames stay with the new instance (which is about to
-	// serve from them), but their contents — still bit-identical to the
-	// quiesce-time state here — are copied back into the old address
-	// spaces, so a breach adopts back exactly the checkpointed state
-	// without touching the serving side.
-	if rep.ledger != nil {
-		if cerr := rep.ledger.CopyBack(); cerr != nil {
-			e.opts.Recorder.InstantNote(obs.TrackCanary, obs.PhaseCanaryJudge,
-				"copyback-failed: "+cerr.Error())
-		}
-	}
 	newInst.Resume()
 	// Failsafe: if the monitor goroutine dies without resolving (a crash,
 	// or the injected canary-monitor fault), the window must not stay

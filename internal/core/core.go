@@ -16,7 +16,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/quiesce"
@@ -38,23 +37,11 @@ type TransferOptions struct {
 	// Parallelism is the per-process state-transfer worker count
 	// (0 = GOMAXPROCS, 1 = sequential); see trace.Options.Parallelism.
 	Parallelism int
-	// Adopt arms the zero-copy page-adoption fast path: old-instance
-	// pages whose every object is provably bit-identical across the
-	// update (layout-identical same-address pair needing no pointer
-	// rewrite) are moved into the new address space as whole frames — the
-	// simulated analogue of the paper's VMA remap — instead of copied
-	// object by object. Downtime copy bytes for a layout-identical update
-	// approach zero; results stay bit-identical with adoption on or off,
-	// rollback returns every donated frame, and a canary window copies
-	// the adopted contents back at window open so the quiesced old
-	// instance stays whole.
-	Adopt bool
 	// VerifyTransfer enables the transfer's shadow-verification checksum:
 	// every byte served from a pre-copy shadow is cross-checked against
 	// the quiesced live memory it stands in for, and Stats.Checksum
 	// digests the full transferred stream (FNV-64a per object, combined
-	// order-independently) — adopted pages included, digested before
-	// their frames move. A stale shadow fails the update instead of
+	// order-independently). A stale shadow fails the update instead of
 	// committing corrupt state. Costs one extra locked read per
 	// shadow-served object; meant for harnesses and audits.
 	VerifyTransfer bool
@@ -205,11 +192,10 @@ type Options struct {
 	Watchdog WatchdogOptions
 }
 
-// DefaultOptions returns the recommended configuration: the pipelined
-// schedule with the zero-copy page-adoption fast path armed and every
-// subsystem at its built-in default.
+// DefaultOptions returns the recommended configuration, the zero value:
+// the pipelined schedule with every subsystem at its built-in default.
 func DefaultOptions() Options {
-	return Options{Transfer: TransferOptions{Adopt: true}}
+	return Options{}
 }
 
 // AuditOptions returns DefaultOptions with both verifiers armed: the
@@ -352,12 +338,6 @@ type UpdateReport struct {
 	RollbackIdentical bool
 
 	preDigest uint64 // quiesce-time trace.StateDigest of the old instance (VerifyRollback)
-
-	// ledger tracks the page frames the transfer moved out of the old
-	// instance (Transfer.Adopt): rollback returns them, a canary window
-	// copies their contents back at open, and a plain commit drops the
-	// records. Nil unless adoption is armed.
-	ledger *mem.AdoptLedger
 
 	// Canary reports the update committed into a canary window instead of
 	// finalizing immediately. CanaryOutcome is "open" while the window is
@@ -687,9 +667,6 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 		e.mu.Unlock()
 	}
 	rep := &UpdateReport{}
-	if e.opts.Transfer.Adopt {
-		rep.ledger = &mem.AdoptLedger{}
-	}
 	start := time.Now()
 	// The update span is registered before the bookkeeping defer so its End
 	// runs last (defer LIFO) and the span covers the full request. It ends
@@ -838,11 +815,6 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error
 	if e.openCanary(old, newInst, rep) {
 		return nil
 	}
-	// Immediate finalization: the old instance will never be re-adopted,
-	// so the adopted frames' provenance records can be dropped.
-	if rep.ledger != nil {
-		rep.ledger.Forget()
-	}
 	old.Terminate()
 	// Finalization releases the pid side of global separability: the old
 	// id space no longer needs protecting once the old instance can never
@@ -857,18 +829,14 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error
 
 // transferOptions builds the update's trace options. cancel is the
 // update's watchdog-owned pipeline cancel, so a deadline trip drains the
-// transfer work on either schedule. rep carries the update's
-// adoption ledger (nil unless Transfer.Adopt), which records every donated
-// page frame so rollback and the canary window can make the old side whole.
-func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
+// transfer work on either schedule.
+func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}) trace.Options {
 	topts := trace.Options{
 		Policy:             e.opts.Policy,
 		TransferLibs:       e.opts.TransferLibs,
 		DisableDirtyFilter: e.opts.Transfer.DisableDirtyFilter,
 		Parallelism:        e.opts.Transfer.Parallelism,
 		VerifyShadows:      e.opts.Transfer.VerifyTransfer,
-		Adopt:              e.opts.Transfer.Adopt,
-		Ledger:             rep.ledger,
 		Recorder:           e.opts.Recorder,
 		Faults:             e.opts.Faults,
 		Cancel:             cancel,
@@ -1030,7 +998,7 @@ func (e *Engine) runUpdate(old *program.Instance, v2 *program.Version, rep *Upda
 	e.captureDigest(old, rep)
 
 	// --- old-side pipeline: the handoff epoch, then discovery ------------
-	topts := e.transferOptions(snap, wd.cancel, rep)
+	topts := e.transferOptions(snap, wd.cancel)
 	var (
 		disc *trace.InstanceDiscovery
 		derr error
@@ -1147,15 +1115,6 @@ func (e *Engine) runUpdate(old *program.Instance, v2 *program.Version, rep *Upda
 func (e *Engine) rollback(old, new *program.Instance, rep *UpdateReport, cause error) error {
 	sp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRollback)
 	e.opts.Recorder.Metrics().Counter("core.rollbacks").Add(1)
-	// Adopted page frames go home first — before the new instance is
-	// terminated and before the rollback audit digests the old side — so
-	// the old instance resumes with every donated frame back in place and
-	// its original dirty accounting restored.
-	if rep.ledger != nil {
-		if rerr := rep.ledger.ReturnAll(); rerr != nil {
-			cause = fmt.Errorf("%w; adopted-frame return: %v", cause, rerr)
-		}
-	}
 	if new != nil {
 		new.Terminate()
 	}

@@ -18,7 +18,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"default preset", DefaultOptions(), ""},
 		{"audit preset", AuditOptions(), ""},
 		{"full coherent", Options{
-			Transfer: TransferOptions{Parallelism: 4, Adopt: true, VerifyTransfer: true},
+			Transfer: TransferOptions{Parallelism: 4, VerifyTransfer: true},
 			Precopy:  PrecopyOptions{Enabled: true, Epochs: 3, Interval: time.Millisecond},
 			Warm:     WarmOptions{Enabled: true, Interval: 200 * time.Microsecond, DutyCycle: 0.25},
 			Canary:   CanaryOptions{Enabled: true, Window: 100 * time.Millisecond},

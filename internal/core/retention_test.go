@@ -47,74 +47,64 @@ func waitFreed(freed *atomic.Int32, want int32) bool {
 // releases alive: once an update has committed away from an instance, or
 // rolled back away from a failed new one, nothing the engine or the
 // running instance holds still reaches it, so the Go heap stays flat over
-// any number of updates. Covered with page adoption on and off, since
-// adoption moves frames between the two instances.
+// any number of updates.
 func TestRetiredInstanceCollected(t *testing.T) {
-	for _, adopt := range []bool{true, false} {
-		name := "copy"
-		if adopt {
-			name = "adopt"
+	t.Run("copy/commit", func(t *testing.T) {
+		e, err := NewEngine(kernel.New(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name+"/commit", func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Transfer.Adopt = adopt
-			e, err := NewEngine(kernel.New(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Shutdown()
-			var procs, freed atomic.Int32
-			if _, err := e.Launch(trackedVersion(0, &procs, &freed)); err != nil {
-				t.Fatal(err)
-			}
-			dirtyBlobPayloads(t, e.Current())
-			if _, err := e.Update(blobdVersion(1, 16, 1024)); err != nil {
-				t.Fatal(err)
-			}
-			if !waitFreed(&freed, procs.Load()) {
-				t.Fatalf("committed-away instance still reachable: %d of %d tracked structures freed",
-					freed.Load(), procs.Load())
-			}
-		})
-		t.Run(name+"/rollback", func(t *testing.T) {
-			plane := faultinject.New(1)
-			opts := DefaultOptions()
-			opts.Transfer.Adopt = adopt
-			opts.Faults = plane
-			e, err := NewEngine(kernel.New(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Shutdown()
-			if _, err := e.Launch(blobdVersion(0, 16, 1024)); err != nil {
-				t.Fatal(err)
-			}
-			dirtyBlobPayloads(t, e.Current())
-			var procs, freed atomic.Int32
-			plane.Arm(faultinject.PointRestartCrash)
-			rep, err := e.Update(trackedVersion(1, &procs, &freed))
-			if err == nil || !rep.RolledBack {
-				t.Fatalf("injected restart crash did not roll back: %v", err)
-			}
-			if procs.Load() == 0 {
-				t.Fatal("the failed release never ran")
-			}
-			if !waitFreed(&freed, procs.Load()) {
-				t.Fatalf("rolled-back instance still reachable: %d of %d tracked structures freed",
-					freed.Load(), procs.Load())
-			}
-			// The survivor keeps serving updates, and retires in turn.
-			var procs2, freed2 atomic.Int32
-			if _, err := e.Update(trackedVersion(2, &procs2, &freed2)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Update(blobdVersion(3, 16, 1024)); err != nil {
-				t.Fatal(err)
-			}
-			if !waitFreed(&freed2, procs2.Load()) {
-				t.Fatalf("instance committed away after a rollback still reachable: %d of %d freed",
-					freed2.Load(), procs2.Load())
-			}
-		})
-	}
+		defer e.Shutdown()
+		var procs, freed atomic.Int32
+		if _, err := e.Launch(trackedVersion(0, &procs, &freed)); err != nil {
+			t.Fatal(err)
+		}
+		dirtyBlobPayloads(t, e.Current())
+		if _, err := e.Update(blobdVersion(1, 16, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFreed(&freed, procs.Load()) {
+			t.Fatalf("committed-away instance still reachable: %d of %d tracked structures freed",
+				freed.Load(), procs.Load())
+		}
+	})
+	t.Run("copy/rollback", func(t *testing.T) {
+		plane := faultinject.New(1)
+		opts := DefaultOptions()
+		opts.Faults = plane
+		e, err := NewEngine(kernel.New(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Shutdown()
+		if _, err := e.Launch(blobdVersion(0, 16, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		dirtyBlobPayloads(t, e.Current())
+		var procs, freed atomic.Int32
+		plane.Arm(faultinject.PointRestartCrash)
+		rep, err := e.Update(trackedVersion(1, &procs, &freed))
+		if err == nil || !rep.RolledBack {
+			t.Fatalf("injected restart crash did not roll back: %v", err)
+		}
+		if procs.Load() == 0 {
+			t.Fatal("the failed release never ran")
+		}
+		if !waitFreed(&freed, procs.Load()) {
+			t.Fatalf("rolled-back instance still reachable: %d of %d tracked structures freed",
+				freed.Load(), procs.Load())
+		}
+		// The survivor keeps serving updates, and retires in turn.
+		var procs2, freed2 atomic.Int32
+		if _, err := e.Update(trackedVersion(2, &procs2, &freed2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Update(blobdVersion(3, 16, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFreed(&freed2, procs2.Load()) {
+			t.Fatalf("instance committed away after a rollback still reachable: %d of %d freed",
+				freed2.Load(), procs2.Load())
+		}
+	})
 }

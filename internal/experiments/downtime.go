@@ -19,13 +19,12 @@ import (
 )
 
 // DowntimeRow is one engine mode's measured update: the quiesce->commit
-// wall clock and its phase breakdown, the transfer outcome (including the
-// zero-copy adoption columns), and two checksums — the whole-state digest
-// and the transfer stream's FNV digest — that pin every mode bit-identical.
+// wall clock and its phase breakdown, the transfer outcome, and two
+// checksums — the whole-state digest and the transfer stream's FNV digest
+// — that pin every mode bit-identical.
 type DowntimeRow struct {
 	Name       string
 	Sequential bool
-	Adopt      bool
 
 	Quiesce          time.Duration
 	Analysis         time.Duration // in-window analysis (validation only when pipelined)
@@ -41,31 +40,22 @@ type DowntimeRow struct {
 	BytesTransferred   uint64
 	ShadowFraction     float64
 
-	// Zero-copy adoption outcome: whole page frames moved instead of
-	// copied, the bytes they carried, and their fraction of the
-	// transferred bytes.
-	AdoptedPages     int
-	AdoptedBytes     uint64
-	AdoptionFraction float64
-
 	// StateSum digests the new instance's entire object universe after
 	// the update; Checksum is the transfer's own FNV-64a stream digest
-	// (VerifyTransfer is armed on every row, so adopted pages are
-	// digested too, before their frames move).
+	// (VerifyTransfer is armed on every row).
 	StateSum uint64
 	Checksum uint64
 
 	// Live-traffic rows only: requests completed across the update and
 	// the failed-response count (errors + protocol-bad responses), which
-	// must be zero — adoption must not cut a request off.
+	// must be zero — the update must not cut a request off.
 	LiveRequests    int
 	FailedResponses int
 }
 
 // DowntimeResult is the downtime ablation: the same update measured across
-// engine modes — sequential, pipelined, pipelined with zero-copy adoption,
-// warm standby with adoption — plus a type-changing control (adoption must
-// refuse) and a live-traffic httpd row (adoption must not drop requests).
+// engine modes — sequential, pipelined, warm standby — plus a live-traffic
+// httpd row (the update must not drop requests).
 type DowntimeResult struct {
 	Objects    int
 	HeapBytes  uint64
@@ -84,7 +74,7 @@ func (r *DowntimeResult) Row(name string) *DowntimeRow {
 }
 
 // Reduction returns the fraction of the downtime window pipelining
-// removed (sequential vs pipelined, both without adoption).
+// removed (sequential vs pipelined).
 func (r *DowntimeResult) Reduction() float64 {
 	seq, pip := r.Row("sequential"), r.Row("pipelined")
 	if seq == nil || pip == nil || seq.Downtime == 0 {
@@ -104,9 +94,7 @@ func (s Scale) downtimeBlobs() (count, size int) {
 // buffers of `size` bytes, chained by a hidden pointer at word 0 and
 // rooted in the "anchor" global. Few large opaque objects make the
 // conservative phases (analysis, discovery) the downtime bottleneck —
-// exactly the work the pipelined engine takes off the critical path — and,
-// being startup allocations recreated at identical addresses, the whole
-// heap is page-adoptable under the identity-remap rule.
+// exactly the work the pipelined engine takes off the critical path.
 func downtimeVersion(seq, blobs, size int) *program.Version {
 	return &program.Version{
 		Program:     "downtimeheap",
@@ -156,81 +144,6 @@ func downtimeVersion(seq, blobs, size int) *program.Version {
 	}
 }
 
-// typedDowntimeVersion builds the type-changing control: startup allocates
-// `recs` precisely-typed records (a pointer chain plus a scalar payload).
-// From seq 1 on the record type grows a trailing field, so every record
-// pairs with a transformation — the adoption pass must classify zero pages
-// adoptable and fall back to the transforming copy path wholesale.
-func typedDowntimeVersion(seq, recs int) *program.Version {
-	reg := types.NewRegistry()
-	rec := &types.Type{Name: "rec_s", Kind: types.KindStruct}
-	rec.Fields = []types.Field{
-		{Name: "next", Offset: 0, Type: types.PointerTo(rec)},
-		{Name: "seq", Offset: 8, Type: types.Scalar(types.KindUint64)},
-		{Name: "payload", Offset: 16, Type: types.ArrayOf(48, types.Scalar(types.KindUint32))},
-	}
-	rec.Size, rec.Align = 208, 8
-	if seq > 0 {
-		rec.Fields = append(rec.Fields, types.Field{
-			Name: "extra", Offset: 208, Type: types.Scalar(types.KindUint64)})
-		rec.Size = 216
-	}
-	reg.Define(rec)
-	// The chain head must be a precisely-typed pointer: an untyped anchor
-	// would be scanned conservatively, and the likely pointer it holds
-	// would freeze the first record as nonupdatable — blocking the very
-	// transformation this control exists to exercise.
-	anchor := &types.Type{Name: "anchor_s", Kind: types.KindStruct}
-	anchor.Fields = []types.Field{{Name: "head", Offset: 0, Type: types.PointerTo(rec)}}
-	anchor.Size, anchor.Align = 64, 8
-	reg.Define(anchor)
-	return &program.Version{
-		Program:     "downtimetyped",
-		Release:     fmt.Sprintf("v%d", seq+1),
-		Seq:         seq,
-		Types:       reg,
-		Globals:     []program.GlobalSpec{{Name: "anchor", Type: "anchor_s", Size: 64}},
-		Annotations: program.NewAnnotations(),
-		Main: func(t *program.Thread) error {
-			t.Enter("main")
-			defer t.Exit()
-			if err := t.Call("typed_init", func() error {
-				p := t.Proc()
-				var first, last *mem.Object
-				for i := 0; i < recs; i++ {
-					r, err := t.Malloc("rec_s")
-					if err != nil {
-						return err
-					}
-					if err := p.WriteField(r, "seq", uint64(i)); err != nil {
-						return err
-					}
-					if last != nil {
-						if err := p.SetPtr(last, "next", r); err != nil {
-							return err
-						}
-					} else {
-						first = r
-					}
-					last = r
-				}
-				return p.WriteWordAt(p.MustGlobal("anchor"), 0, uint64(first.Addr))
-			}); err != nil {
-				return err
-			}
-			return t.Loop("typed_loop", func() error {
-				if err := t.IdleQP("idle@typed_loop"); err != nil {
-					if errors.Is(err, program.ErrStopped) {
-						return program.ErrLoopExit
-					}
-					return err
-				}
-				return nil
-			})
-		},
-	}
-}
-
 // dirtyWholeHeap rewrites the payload of every heap object (everything
 // past the link word) with a deterministic pattern, making the entire
 // heap post-startup state both runs must transfer identically. Top bits
@@ -264,16 +177,7 @@ func stateSum(inst *program.Instance) (uint64, error) {
 type downtimeMode struct {
 	name       string
 	sequential bool
-	adopt      bool
 	warm       bool
-	typed      bool // type-changing version pair (the adoption refusal control)
-}
-
-func (m downtimeMode) version(seq, blobs, size int) *program.Version {
-	if m.typed {
-		return typedDowntimeVersion(seq, blobs)
-	}
-	return downtimeVersion(seq, blobs, size)
 }
 
 // downtimeRun measures one mode: launch, dirty the whole heap
@@ -285,7 +189,6 @@ func downtimeRun(cfg Config, m downtimeMode, blobs, size int) (DowntimeRow, erro
 		Sequential: m.sequential,
 		Transfer: core.TransferOptions{
 			Parallelism:    cfg.Parallelism,
-			Adopt:          m.adopt,
 			VerifyTransfer: true,
 		},
 		QuiesceTimeout: 30 * time.Second,
@@ -300,7 +203,7 @@ func downtimeRun(cfg Config, m downtimeMode, blobs, size int) (DowntimeRow, erro
 	if err != nil {
 		return DowntimeRow{}, err
 	}
-	if _, err := e.Launch(m.version(0, blobs, size)); err != nil {
+	if _, err := e.Launch(downtimeVersion(0, blobs, size)); err != nil {
 		return DowntimeRow{}, err
 	}
 	defer e.Shutdown()
@@ -310,18 +213,24 @@ func downtimeRun(cfg Config, m downtimeMode, blobs, size int) (DowntimeRow, erro
 	if m.warm && !e.WarmWait(10*time.Second) {
 		return DowntimeRow{}, fmt.Errorf("downtime: warm daemon did not converge")
 	}
-	rep, err := e.Update(m.version(1, blobs, size))
+	rep, err := e.Update(downtimeVersion(1, blobs, size))
 	if err != nil {
 		return DowntimeRow{}, err
 	}
-	sum, err := stateSum(e.Current())
+	row, err := downtimeRowOf(m.name, e.Current(), rep)
+	row.Sequential = m.sequential
+	return row, err
+}
+
+// downtimeRowOf records one committed update: its report breakdown and the
+// whole-state digest of the instance it committed to.
+func downtimeRowOf(name string, cur *program.Instance, rep *core.UpdateReport) (DowntimeRow, error) {
+	sum, err := stateSum(cur)
 	if err != nil {
 		return DowntimeRow{}, err
 	}
 	return DowntimeRow{
-		Name:               m.name,
-		Sequential:         m.sequential,
-		Adopt:              m.adopt,
+		Name:               name,
 		Quiesce:            rep.QuiesceTime,
 		Analysis:           rep.AnalysisTime,
 		ControlMigration:   rep.ControlMigrationTime,
@@ -334,25 +243,22 @@ func downtimeRun(cfg Config, m downtimeMode, blobs, size int) (DowntimeRow, erro
 		ObjectsTransferred: rep.Transfer.ObjectsTransferred,
 		BytesTransferred:   rep.Transfer.BytesTransferred,
 		ShadowFraction:     rep.Transfer.ShadowFraction(),
-		AdoptedPages:       rep.Transfer.PagesAdopted,
-		AdoptedBytes:       rep.Transfer.BytesAdopted,
-		AdoptionFraction:   rep.Transfer.AdoptionFraction(),
 		StateSum:           sum,
 		Checksum:           rep.Transfer.Checksum,
 	}, nil
 }
 
-// downtimeLiveRun measures the live-traffic row: an httpd update with
-// adoption armed while a sustained closed-loop workload drives the server.
-// The workload's requests block across the quiesce and complete after
-// commit — none may fail or come back malformed.
+// downtimeLiveRun measures the live-traffic row: an httpd update while a
+// sustained closed-loop workload drives the server. The workload's
+// requests block across the quiesce and complete after commit — none may
+// fail or come back malformed.
 func downtimeLiveRun(cfg Config) (DowntimeRow, error) {
 	spec, err := servers.SpecByName("httpd")
 	if err != nil {
 		return DowntimeRow{}, err
 	}
 	e, k, err := launchServer(spec, cfg, core.Options{
-		Transfer:       core.TransferOptions{Adopt: true, VerifyTransfer: true},
+		Transfer:       core.TransferOptions{VerifyTransfer: true},
 		QuiesceTimeout: 30 * time.Second,
 		StartupTimeout: 30 * time.Second,
 	})
@@ -372,45 +278,20 @@ func downtimeLiveRun(cfg Config) (DowntimeRow, error) {
 	if err != nil {
 		return DowntimeRow{}, err
 	}
-	sum, err := stateSum(e.Current())
-	if err != nil {
-		return DowntimeRow{}, err
-	}
-	return DowntimeRow{
-		Name:               "live+adopt",
-		Adopt:              true,
-		Quiesce:            rep.QuiesceTime,
-		Analysis:           rep.AnalysisTime,
-		ControlMigration:   rep.ControlMigrationTime,
-		Discovery:          rep.DiscoveryTime,
-		StateTransfer:      rep.StateTransferTime,
-		Downtime:           rep.Downtime,
-		Total:              rep.TotalTime,
-		AnalysesReused:     rep.AnalysesReused,
-		ProcsReanalyzed:    rep.ProcsReanalyzed,
-		ObjectsTransferred: rep.Transfer.ObjectsTransferred,
-		BytesTransferred:   rep.Transfer.BytesTransferred,
-		ShadowFraction:     rep.Transfer.ShadowFraction(),
-		AdoptedPages:       rep.Transfer.PagesAdopted,
-		AdoptedBytes:       rep.Transfer.BytesAdopted,
-		AdoptionFraction:   rep.Transfer.AdoptionFraction(),
-		StateSum:           sum,
-		Checksum:           rep.Transfer.Checksum,
-		LiveRequests:       stats.Requests,
-		FailedResponses:    stats.Errors + stats.BadResponses,
-	}, nil
+	row, err := downtimeRowOf("live", e.Current(), rep)
+	row.LiveRequests = stats.Requests
+	row.FailedResponses = stats.Errors + stats.BadResponses
+	return row, err
 }
 
 // RunDowntime regenerates the downtime ablation. Acceptance bars:
 //
 //   - the quiesce->commit window shrinks by >= 25% with pipelining at
 //     default settings;
-//   - the four layout-identical rows (sequential, pipelined,
-//     pipelined+adopt, warm+adopt) transfer bit-identical state — equal
-//     whole-state digests AND equal transfer-stream FNV checksums — so
-//     adoption and the engine choice are pure mechanism ablations;
-//   - the adoption rows move >= 90% of transferred bytes by page
-//     adoption; the type-changing control adopts nothing;
+//   - the three engine rows (sequential, pipelined, warm) transfer
+//     bit-identical state — equal whole-state digests AND equal
+//     transfer-stream FNV checksums — so the engine choice is a pure
+//     mechanism ablation;
 //   - the live-traffic row completes every client request.
 func RunDowntime(cfg Config) (*DowntimeResult, error) {
 	blobs, size := cfg.Scale.downtimeBlobs()
@@ -422,9 +303,7 @@ func RunDowntime(cfg Config) (*DowntimeResult, error) {
 	modes := []downtimeMode{
 		{name: "sequential", sequential: true},
 		{name: "pipelined"},
-		{name: "pipelined+adopt", adopt: true},
-		{name: "warm+adopt", adopt: true, warm: true},
-		{name: "typechange+adopt", adopt: true, typed: true},
+		{name: "warm", warm: true},
 	}
 	for _, m := range modes {
 		row, err := downtimeRun(cfg, m, blobs, size)
@@ -435,12 +314,12 @@ func RunDowntime(cfg Config) (*DowntimeResult, error) {
 	}
 	live, err := downtimeLiveRun(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("downtime (live+adopt): %w", err)
+		return nil, fmt.Errorf("downtime (live): %w", err)
 	}
 	res.Rows = append(res.Rows, live)
 
 	base := res.Row("sequential")
-	for _, name := range []string{"pipelined", "pipelined+adopt", "warm+adopt"} {
+	for _, name := range []string{"pipelined", "warm"} {
 		row := res.Row(name)
 		if row.StateSum != base.StateSum {
 			return nil, fmt.Errorf("experiments: %s changed the transferred state: sum %#x vs %#x",
@@ -450,16 +329,6 @@ func RunDowntime(cfg Config) (*DowntimeResult, error) {
 			return nil, fmt.Errorf("experiments: %s changed the transfer stream: checksum %#x vs %#x",
 				name, row.Checksum, base.Checksum)
 		}
-	}
-	for _, name := range []string{"pipelined+adopt", "warm+adopt"} {
-		if f := res.Row(name).AdoptionFraction; f < 0.9 {
-			return nil, fmt.Errorf("experiments: %s adopted only %.0f%% of transferred bytes (want >= 90%%)",
-				name, f*100)
-		}
-	}
-	if tc := res.Row("typechange+adopt"); tc.AdoptedPages != 0 || tc.AdoptedBytes != 0 {
-		return nil, fmt.Errorf("experiments: type-changing update adopted %d pages (%d bytes); adoption must refuse",
-			tc.AdoptedPages, tc.AdoptedBytes)
 	}
 	if live.FailedResponses != 0 {
 		return nil, fmt.Errorf("experiments: live-traffic update failed %d of %d responses",
@@ -473,10 +342,10 @@ func (r *DowntimeResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Pipelined update engine: downtime (quiesce->commit) breakdown (%d objects, %d heap bytes, GOMAXPROCS=%d)\n",
 		r.Objects, r.HeapBytes, r.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-17s %10s %10s %10s %10s %10s %12s %8s %8s\n",
-		"engine", "quiesce", "analysis", "restart", "discovery", "copy", "downtime", "adopted", "reused")
+	fmt.Fprintf(&b, "%-17s %10s %10s %10s %10s %10s %12s %8s\n",
+		"engine", "quiesce", "analysis", "restart", "discovery", "copy", "downtime", "reused")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-17s %10s %10s %10s %10s %10s %12s %7.0f%% %5d/%-2d\n",
+		fmt.Fprintf(&b, "%-17s %10s %10s %10s %10s %10s %12s %5d/%-2d\n",
 			row.Name,
 			row.Quiesce.Round(10*time.Microsecond),
 			row.Analysis.Round(10*time.Microsecond),
@@ -484,17 +353,15 @@ func (r *DowntimeResult) Render() string {
 			row.Discovery.Round(10*time.Microsecond),
 			row.StateTransfer.Round(10*time.Microsecond),
 			row.Downtime.Round(10*time.Microsecond),
-			row.AdoptionFraction*100,
 			row.AnalysesReused, row.AnalysesReused+row.ProcsReanalyzed)
 	}
-	fmt.Fprintf(&b, "downtime reduction: %.0f%% (target >= 25%%); transfer bit-identical across engines and adoption (sum %#x, fnv %#x)\n",
+	fmt.Fprintf(&b, "downtime reduction: %.0f%% (target >= 25%%); transfer bit-identical across engines (sum %#x, fnv %#x)\n",
 		r.Reduction()*100, r.Row("sequential").StateSum, r.Row("sequential").Checksum)
-	if live := r.Row("live+adopt"); live != nil {
+	if live := r.Row("live"); live != nil {
 		fmt.Fprintf(&b, "live traffic: %d requests across the update, %d failed\n",
 			live.LiveRequests, live.FailedResponses)
 	}
 	b.WriteString("pipelined overlaps: analysis speculated before quiesce (validated by memory deltas);\n")
-	b.WriteString("handoff epoch + discovery run under RESTART; REMAP pairs at startup completion;\n")
-	b.WriteString("adoption moves layout-identical page frames instead of copying them\n")
+	b.WriteString("handoff epoch + discovery run under RESTART; REMAP pairs at startup completion\n")
 	return b.String()
 }

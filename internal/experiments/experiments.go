@@ -88,9 +88,6 @@ type Config struct {
 	// Parallelism is the state-transfer worker count applied to every
 	// engine the experiments launch (0 = trace-layer default).
 	Parallelism int
-	// Adopt arms the zero-copy page-adoption fast path on every launched
-	// engine (see core.TransferOptions.Adopt).
-	Adopt bool
 	// Precopy arms the incremental pre-copy checkpoint engine on every
 	// launched engine (see core.Options.Precopy).
 	Precopy bool
@@ -116,9 +113,6 @@ type Config struct {
 func (c Config) options(opts core.Options) core.Options {
 	if opts.Transfer.Parallelism == 0 {
 		opts.Transfer.Parallelism = c.Parallelism
-	}
-	if c.Adopt {
-		opts.Transfer.Adopt = true
 	}
 	if c.Precopy {
 		opts.Precopy.Enabled = true

@@ -46,8 +46,8 @@ type Object struct {
 	Name    string // symbol name for statics/libs
 	// Scratch marks instrumentation-owned overlay metadata: state the
 	// framework regenerates in every version and the program never reads.
-	// State transfer ignores scratch objects, and page adoption treats
-	// their bytes like allocator gap bytes — free to travel with a frame.
+	// State transfer never reaches scratch objects, and StateDigest skips
+	// them.
 	Scratch bool
 }
 

@@ -181,6 +181,18 @@ func (inst *Instance) addProc(p *Proc) {
 	}
 }
 
+// dropProcLocked removes an exited process from the instance's tables.
+// The caller holds inst.mu.
+func (inst *Instance) dropProcLocked(p *Proc) {
+	delete(inst.procs, p.key)
+	for i, q := range inst.procList {
+		if q == p {
+			inst.procList = append(inst.procList[:i], inst.procList[i+1:]...)
+			break
+		}
+	}
+}
+
 // Fail records an error against the instance (used by the engine and
 // reinitialization hooks to surface conflicts through WaitStartup).
 func (inst *Instance) Fail(err error) { inst.recordError(err) }

@@ -53,6 +53,10 @@ type Proc struct {
 	// use it to respawn session processes with the right handler class.
 	mainClass string
 
+	// threads counts the process's live threads, guarded by inst.mu. A
+	// forked process whose count drops to zero has exited.
+	threads int
+
 	mu      sync.Mutex
 	forkSeq map[uint64]uint64 // fork-site call-stack ID -> ordinal
 

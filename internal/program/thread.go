@@ -87,6 +87,7 @@ func (inst *Instance) newThread(p *Proc, class string, seedStack []string) (*Thr
 func (inst *Instance) startThread(th *Thread, fn func(*Thread) error) {
 	inst.mu.Lock()
 	inst.threads[th.id] = th
+	th.proc.threads++
 	inst.mu.Unlock()
 	inst.barrier.Register(th.id, th.class)
 	if inst.opts.Profiler != nil {
@@ -111,8 +112,18 @@ func (inst *Instance) startThread(th *Thread, fn func(*Thread) error) {
 
 func (th *Thread) cleanup() {
 	inst := th.proc.inst
+	p := th.proc
 	inst.mu.Lock()
 	delete(inst.threads, th.id)
+	p.threads--
+	// A forked process whose last thread returned has exited: reap it, so
+	// a closed session neither keeps its fds nor is re-created by the next
+	// update. The root lives as long as the instance, and a stopping
+	// instance leaves every exit to Terminate.
+	reap := p.threads == 0 && p != inst.root && !inst.stopping.Load()
+	if reap {
+		inst.dropProcLocked(p)
+	}
 	inst.mu.Unlock()
 	inst.barrier.Deregister(th.id)
 	if inst.opts.Profiler != nil {
@@ -125,6 +136,9 @@ func (th *Thread) cleanup() {
 	if th.metaNode != nil {
 		_ = th.proc.heap.Free(th.metaNode.Addr)
 		th.metaNode = nil
+	}
+	if reap {
+		p.kproc.Exit()
 	}
 }
 

@@ -208,6 +208,62 @@ func TestVsftpdSessionSurvivesUpdate(t *testing.T) {
 	defer s2.Close()
 }
 
+// TestClosedSessionsReaped pins that a process-per-connection server does
+// not accumulate exited session processes: once a client closes, its
+// handler process is reaped — gone from Procs(), its kernel process exited
+// and its fds released — and the next update re-creates only the sessions
+// still open.
+func TestClosedSessionsReaped(t *testing.T) {
+	e, k := launch(t, VsftpdSpec(), core.Options{})
+	defer e.Shutdown()
+	inst := e.Current()
+	var sessions []*kernel.Proc
+	for i := 0; i < 20; i++ {
+		s, err := workload.OpenFTP(k, VsftpdPort, fmt.Sprintf("user%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.FTPCommand(s, "STAT"); err != nil {
+			t.Fatalf("session %d STAT: %v", i, err)
+		}
+		procs := inst.Procs()
+		sessions = append(sessions, procs[len(procs)-1].KProc())
+		s.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(inst.Procs()) > 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(inst.Procs()); n != 1 {
+		t.Fatalf("%d procs after every session closed, want 1 (the master)", n)
+	}
+	for i, kp := range sessions {
+		if !kp.Exited() || len(kp.FDs()) != 0 {
+			t.Errorf("session %d: exited=%v with %d fds open", i, kp.Exited(), len(kp.FDs()))
+		}
+	}
+
+	// Only the one session still open survives the update.
+	s, err := workload.OpenFTP(k, VsftpdPort, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := e.Update(VsftpdVersion(1))
+	if err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	if rep.RolledBack {
+		t.Fatalf("rolled back: %v", rep.Reason)
+	}
+	if n := len(e.Current().Procs()); n != 2 {
+		t.Errorf("%d procs after the update, want 2 (master + the open session)", n)
+	}
+	if resp, err := workload.FTPCommand(s, "STAT"); err != nil || !strings.Contains(resp, "vsftpd 1.1.0+u1") {
+		t.Errorf("post-update STAT = %q, %v", resp, err)
+	}
+}
+
 func TestVsftpdInFlightTransferResumes(t *testing.T) {
 	e, k := launch(t, VsftpdSpec(), core.Options{})
 	defer e.Shutdown()

@@ -22,8 +22,7 @@ func StateDigest(inst *program.Instance) (uint64, error) {
 		for _, o := range p.Index().Table().Objects() {
 			if o.Scratch {
 				// Framework-owned overlay metadata is not program state:
-				// it is regenerated per version and never read back, and
-				// page adoption moves its bytes freely with the frame.
+				// it is regenerated per version and never read back.
 				continue
 			}
 			fmt.Fprintf(h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)

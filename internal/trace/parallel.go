@@ -205,13 +205,13 @@ func (pt *procTransfer) copyContentsParallel(reachable []*mem.Object, workers in
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			var scratch []byte
+			var sc stage
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(reachable) {
 					return
 				}
-				errs[i] = pt.transferOne(reachable[i], &shards[k], &scratch)
+				errs[i] = pt.transferOne(reachable[i], &shards[k], &sc)
 			}
 		}(k)
 	}

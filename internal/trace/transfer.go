@@ -53,14 +53,8 @@ type Stats struct {
 	// from the per-transfer memo instead of recomputed — every object of a
 	// changed type beyond the first is a hit.
 	TypeCacheHits int
-	// Zero-copy page adoption (Options.Adopt): whole pages whose every
-	// object is provably bit-identical across the update moved into the
-	// new address space as frames instead of being copied. Adopted objects
-	// still count in ObjectsTransferred/BytesTransferred; BytesAdopted is
-	// the third leg of the copy-source split, so
-	// BytesFromShadow + BytesLive + BytesAdopted == BytesTransferred.
+	// PagesAdopted is always 0: only perfbench reads it, until a benchmark change drops it.
 	PagesAdopted int
-	BytesAdopted uint64
 	// Checksum digests the transferred source stream when
 	// Options.VerifyShadows is set: per transferred object an FNV-64a
 	// hash over identity and pre-remap source bytes, XOR-combined so the
@@ -84,19 +78,11 @@ func (s *Stats) Add(other Stats) {
 	s.BytesFromShadow += other.BytesFromShadow
 	s.BytesLive += other.BytesLive
 	s.TypeCacheHits += other.TypeCacheHits
-	s.PagesAdopted += other.PagesAdopted
-	s.BytesAdopted += other.BytesAdopted
 	s.Checksum ^= other.Checksum
 }
 
-// AdoptionFraction returns the fraction of transferred bytes that moved by
-// zero-copy page adoption instead of object-by-object copy.
-func (s *Stats) AdoptionFraction() float64 {
-	if s.BytesTransferred == 0 {
-		return 0
-	}
-	return float64(s.BytesAdopted) / float64(s.BytesTransferred)
-}
+// AdoptionFraction always returns 0: only perfbench calls it, until a benchmark change drops it.
+func (s *Stats) AdoptionFraction() float64 { return 0 }
 
 // ShadowFraction returns the fraction of copied bytes the pre-copy
 // checkpoint kept out of the downtime window.
@@ -173,19 +159,6 @@ type Options struct {
 	// watchdog's pipeline cancel drains an injected hang the same way it
 	// drains a real one.
 	Faults *faultinject.Plane
-	// Adopt arms the zero-copy fast path: old-instance pages whose every
-	// overlapping object is provably bit-identical across the update
-	// (layout-identical same-address pair needing no pointer rewrite) are
-	// moved into the new address space as whole frames — the simulated
-	// analogue of the paper's VMA remap — instead of copied object by
-	// object. Successful transfers stay bit-identical with adoption on or
-	// off (the VerifyShadows checksum digests adopted sources too).
-	Adopt bool
-	// Ledger, when set with Adopt, records every donated page frame so
-	// the update engine can return them on rollback or copy them back for
-	// a canary window. Without a ledger adopted frames are unrecoverable;
-	// the engine always supplies one.
-	Ledger *mem.AdoptLedger
 }
 
 // ShadowReader is one process's view of a pre-copy checkpoint
@@ -304,13 +277,13 @@ type procTransfer struct {
 	shadow   ShadowReader
 	curDirty map[mem.Addr]bool
 
-	// adopted marks old objects whose pages moved by zero-copy frame
-	// adoption; transferOne skips them. Written only by adoptPages
-	// (sequential, before copyContents), read-only afterwards.
-	adopted map[mem.Addr]bool
-
 	stats Stats
 }
+
+// stage is one copy worker's pair of reused buffers: copy holds the
+// object being staged for its single WriteAt, verify holds the quiesced
+// live bytes the VerifyShadows audit reads beside it.
+type stage struct{ copy, verify []byte }
 
 // ProcDiscovery is the old-side half of one process's state transfer: the
 // dirty-set computation and the reachability walk, which read only the
@@ -378,9 +351,6 @@ func (d *ProcDiscovery) Complete(newProc *program.Proc, an *Analysis) (Stats, er
 		}
 	}
 	if err := pt.pair(d.reachable); err != nil {
-		return pt.stats, err
-	}
-	if err := pt.adoptPages(d.reachable); err != nil {
 		return pt.stats, err
 	}
 	if err := pt.copyContents(d.reachable); err != nil {
@@ -682,9 +652,8 @@ func (pt *procTransfer) DefaultTransfer(oldObj, newObj *mem.Object) error {
 	if e == nil {
 		e = &pairEntry{oldObj: oldObj, newObj: newObj}
 	}
-	var scratch []byte
 	var st Stats // handler-path bytes are accounted by the caller
-	return pt.transferObject(e, &scratch, &st)
+	return pt.transferObject(e, &stage{}, &st)
 }
 
 var _ program.TransferContext = (*procTransfer)(nil)
@@ -701,9 +670,9 @@ func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
 	if w := pt.opts.workers(); w > 1 && len(reachable) > 1 {
 		return pt.copyContentsParallel(reachable, w)
 	}
-	var scratch []byte
+	var sc stage
 	for _, o := range reachable {
-		if err := pt.transferOne(o, &pt.stats, &scratch); err != nil {
+		if err := pt.transferOne(o, &pt.stats, &sc); err != nil {
 			return err
 		}
 	}
@@ -711,16 +680,12 @@ func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
 }
 
 // transferOne copies one reachable object into its new-version pair,
-// accumulating into st and staging copies in the caller's reused scratch
-// buffer. It writes only within the paired new object's range, so
-// distinct objects can transfer concurrently (one scratch per worker).
-func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) error {
+// accumulating into st and staging copies in the caller's reused stage
+// buffers. It writes only within the paired new object's range, so
+// distinct objects can transfer concurrently (one stage per worker).
+func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, sc *stage) error {
 	e := pt.pairs[o.Addr]
 	if e == nil || e.newObj == nil {
-		return nil
-	}
-	if pt.adopted[o.Addr] {
-		// Moved wholesale by page adoption; accounted there.
 		return nil
 	}
 	needsCopy := pt.dirty[o.Addr] || !o.Startup || pt.opts.DisableDirtyFilter
@@ -744,7 +709,7 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 		st.HandlerInvocations++
 		if pt.opts.VerifyShadows {
 			// Handlers read the old side live; digest the same source.
-			if err := pt.verifySource(o, o.Size, nil, st); err != nil {
+			if err := pt.verifySource(o, o.Size, nil, &sc.verify, st); err != nil {
 				return err
 			}
 		}
@@ -760,7 +725,7 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 		st.BytesLive += o.Size
 		return nil
 	}
-	if err := pt.transferObject(e, scratch, st); err != nil {
+	if err := pt.transferObject(e, sc, st); err != nil {
 		return err
 	}
 	st.ObjectsTransferred++
@@ -771,14 +736,14 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 // transferObject applies the automatic transformation for one object pair:
 // verbatim copy (plus precise pointer remap) for layout-identical pairs,
 // field-mapped transformation otherwise. For the layout-identical case the
-// copy is staged in the caller's reused scratch buffer and the pointers
-// are remapped there, so the new address space is written with a single
+// copy is staged in the caller's reused copy buffer and the pointers are
+// remapped there, so the new address space is written with a single
 // locked WriteAt per object — the short serial section concurrent copy
 // workers contend on — and the hot path does not allocate per object.
 // When a current pre-copy shadow covers the object, the stage is filled
 // from the shadow instead of the locked live read; st records the
 // shadow-vs-live byte split either way.
-func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats) error {
+func (pt *procTransfer) transferObject(e *pairEntry, sc *stage, st *Stats) error {
 	oldAS, newAS := pt.oldProc.Space(), pt.newProc.Space()
 	o, n := e.oldObj, e.newObj
 	if e.transform == nil || e.transform.Identical {
@@ -786,7 +751,7 @@ func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats)
 		if n.Size < size {
 			size = n.Size
 		}
-		buf := scratchFor(scratch, size)
+		buf := scratchFor(&sc.copy, size)
 		var shadowSrc []byte
 		if sb, ok := pt.shadowFor(o); ok {
 			// Injected silent corruption: one byte of the shadow itself
@@ -804,7 +769,11 @@ func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats)
 			st.BytesLive += size
 		}
 		if pt.opts.VerifyShadows {
-			if err := pt.verifySource(o, size, shadowSrc, st); err != nil {
+			if shadowSrc == nil {
+				// The stage already holds the quiesced live bytes: digest
+				// them before the remap rewrites any pointer slot.
+				st.Checksum ^= pt.sourceDigest(o, buf)
+			} else if err := pt.verifySource(o, size, shadowSrc, &sc.verify, st); err != nil {
 				return err
 			}
 		}
@@ -821,7 +790,7 @@ func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats)
 		pt.opts.Faults.Corrupt(faultinject.PointTransferCorrupt, shadow[:o.Size])
 	}
 	if pt.opts.VerifyShadows {
-		if err := pt.verifySource(o, o.Size, shadow, st); err != nil {
+		if err := pt.verifySource(o, o.Size, shadow, &sc.verify, st); err != nil {
 			return err
 		}
 	}
@@ -843,13 +812,13 @@ func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats)
 }
 
 // verifySource is the VerifyShadows audit for one object: read the first
-// n quiesced live bytes, cross-check the shadow served in their place
-// (nil when the copy read live memory directly), and fold the source
-// digest into st. The digest definition lives here and in sourceDigest
-// only — the cross-engine bit-identity test depends on every copy path
-// agreeing on it.
-func (pt *procTransfer) verifySource(o *mem.Object, n uint64, shadow []byte, st *Stats) error {
-	src := make([]byte, n)
+// n quiesced live bytes into the worker's reused verify buffer, cross-check
+// the shadow served in their place (nil when the copy read live memory
+// directly), and fold the source digest into st. Every copy path digests
+// through sourceDigest — the cross-engine bit-identity test depends on
+// them agreeing on it.
+func (pt *procTransfer) verifySource(o *mem.Object, n uint64, shadow []byte, scratch *[]byte, st *Stats) error {
+	src := scratchFor(scratch, n)
 	if err := pt.oldProc.Space().ReadAt(o.Addr, src); err != nil {
 		return err
 	}

@@ -68,8 +68,7 @@ type Engine = core.Engine
 type Options = core.Options
 
 // TransferOptions groups the state-transfer knobs of Options (worker
-// parallelism, the zero-copy page-adoption fast path, checksum
-// verification, the dirty-filter ablation).
+// parallelism, checksum verification, the dirty-filter ablation).
 type TransferOptions = core.TransferOptions
 
 // PrecopyOptions groups the incremental pre-copy checkpoint knobs.
@@ -208,9 +207,9 @@ func NewKernel() *Kernel { return kernel.New() }
 // are rejected with an error instead of being silently ignored.
 func NewEngine(k *Kernel, opts Options) (*Engine, error) { return core.NewEngine(k, opts) }
 
-// DefaultOptions returns the recommended engine configuration: the
-// pipelined update schedule with the zero-copy page-adoption fast path
-// armed.
+// DefaultOptions returns the recommended engine configuration, the zero
+// value: the pipelined update schedule with every subsystem at its
+// default.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // AuditOptions returns DefaultOptions with the transfer checksum and the
